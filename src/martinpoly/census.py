@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from collections import namedtuple
 from fractions import Fraction
 
@@ -18,8 +17,7 @@ from .multigraph import (Multigraph, canonical_form, delete_vertex, duplicate,
 GraphRecord = namedtuple("GraphRecord", ["name", "edges"])
 
 InvariantRecord = namedtuple(
-    "InvariantRecord", ["name", "key", "n", "degree", "values", "errors",
-                        "timestamp"])
+    "InvariantRecord", ["name", "key", "n", "degree", "values", "errors"])
 
 
 def parse_graph_file(path):
@@ -60,25 +58,42 @@ def record_to_graph(record):
     return from_edges(n, record.edges)
 
 
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def _cache_fields(line):
+    """(key, task, value) of a complete cache line, or None when the line is
+    torn (no final newline, as a kill mid-append leaves it) or malformed."""
+    if not line.endswith("\n"):
+        return None
+    fields = line[:-1].split("\t")
+    if len(fields) != 3 or not all(fields) \
+            or not _HEX_DIGITS.issuperset(fields[0]):
+        return None
+    return fields
+
+
 class InvariantCache:
     """Append-only file of "hex-key TAB task TAB value" lines; duplicate
-    (key, task) pairs are resolved last-wins and compacted away on load."""
+    (key, task) pairs are resolved last-wins, and they, torn lines and
+    malformed lines are compacted away on load.  A value is only ever read
+    from a complete, well-formed line."""
 
     def __init__(self, path=None):
         self.path = path
         self.data = {}
         if path and os.path.exists(path):
-            stale = 0
+            dirty = False
             with open(path) as fh:
                 for line in fh:
-                    line = line.rstrip("\n")
-                    if not line:
+                    fields = _cache_fields(line)
+                    if fields is None:
+                        dirty = True
                         continue
-                    key_hex, task, value = line.split("\t", 2)
-                    if (key_hex, task) in self.data:
-                        stale += 1
+                    key_hex, task, value = fields
+                    dirty = dirty or (key_hex, task) in self.data
                     self.data[(key_hex, task)] = value
-            if stale:
+            if dirty:
                 self._compact()
 
     def _compact(self):
@@ -139,7 +154,7 @@ def compute_batch(records, tasks, cache=None):
             degree = str(degs[0]) if len(degs) == 1 else "mixed"
         except (ValueError, AssertionError) as exc:
             out.append(InvariantRecord(record.name, None, None, None, {},
-                                       {"graph": str(exc)}, time.time()))
+                                       {"graph": str(exc)}))
             continue
         for task in tasks:
             hit = cache.get(key_hex, task)
@@ -154,7 +169,7 @@ def compute_batch(records, tasks, cache=None):
             values[task] = value
             cache.put(key_hex, task, value)
         out.append(InvariantRecord(record.name, key_hex, n, degree, values,
-                                   errors, time.time()))
+                                   errors))
     return out
 
 

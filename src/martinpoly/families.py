@@ -78,10 +78,6 @@ def octahedron():
     return from_edges(6, edges)
 
 
-def complete_bipartite(a, b):
-    return from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
 def four_vertex_regular(a, b, c):
     """Loop-free regular multigraph on 4 vertices: opposite edge pairs carry
     equal multiplicities a, b, c (degree a+b+c everywhere)."""

@@ -18,13 +18,11 @@ from .multigraph import (Multigraph, TransitionMatrix, apply_transition,
                          canonical_form, connected_components, duplicate,
                          enumerate_transition_matrices,
                          transition_classes_with_loops, _symmetric_matrices)
-from .structure import EXHAUSTIVE_CUT_LIMIT, EdgeCut, _all_cuts, \
+from .structure import EXHAUSTIVE_CUT_LIMIT, EdgeCut, _all_cuts, _vertices, \
     edge_connectivity, split_edge_cut
 
 _INVARIANT_MEMO = {}
 _POLY_MEMO = {}
-
-PIVOT_POLICIES = ("fewest-classes", "first")
 
 
 def _normalize(x):
@@ -172,7 +170,8 @@ def _k4_closed_form(g, k):
         return 0
     num = factorial(a) * factorial(b) * factorial(c)
     den = factorial(k - a) * factorial(k - b) * factorial(k - c)
-    assert num % den == 0
+    if num % den:
+        raise AssertionError("k4 closed form did not divide evenly")
     return num // den
 
 
@@ -194,19 +193,19 @@ def _minv(g, k, policy, memo):
     # one scan: connectivity defect and a nontrivial minimum cut, if any
     shortcut_side = None
     if g.n <= EXHAUSTIVE_CUT_LIMIT:
-        for side, size in _all_cuts(g):
+        for side, size, count in _all_cuts(g):
             if size < 2 * k:
                 memo[key] = 0
                 return 0
             if size == 2 * k and shortcut_side is None \
-                    and 2 <= len(side) <= g.n - 2:
+                    and 2 <= count <= g.n - 2:
                 shortcut_side = side
     else:
         if edge_connectivity(g) < 2 * k:
             memo[key] = 0
             return 0
     if shortcut_side is not None:
-        g1, g2 = split_edge_cut(g, EdgeCut(shortcut_side, 2 * k))
+        g1, g2 = split_edge_cut(g, EdgeCut(_vertices(shortcut_side), 2 * k))
         result = factorial(k) * _minv(g1, k, policy, memo) \
             * _minv(g2, k, policy, memo)
         memo[key] = result
@@ -254,16 +253,6 @@ def martin_sequence(g, r_max):
     return [martin_invariant(duplicate(g, r)) for r in rs]
 
 
-def seed_invariant_cache(entries):
-    """Merge precomputed canonical-key -> invariant entries into the global
-    recursion cache (used by the census cache file)."""
-    _INVARIANT_MEMO.update(entries)
-
-
-def invariant_cache_snapshot():
-    return dict(_INVARIANT_MEMO)
-
-
 # -- closed forms --------------------------------------------------------
 
 
@@ -272,7 +261,8 @@ def closed_form_circulant(n):
     if n < 5:
         raise ValueError("closed form needs n >= 5")
     num = (3 * n - 2) * 2 ** (n - 3) - 2 * (-1) ** n
-    assert num % 9 == 0
+    if num % 9:
+        raise AssertionError("circulant closed form did not divide evenly")
     return num // 9
 
 
@@ -311,7 +301,8 @@ def symmetry_factor(g, N, decompleted=False):
     N = Fraction(N)
     m = martin_polynomial(g)
     if decompleted:
-        assert not m or m[0] == 0
+        if m and m[0]:
+            raise AssertionError("Martin polynomial has a nonzero constant term")
         reduced = m[1:]
         return _normalize(Fraction(poly.evaluate(reduced, N + 2),
                                    3 ** (g.n - 1)))

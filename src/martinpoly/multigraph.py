@@ -136,17 +136,6 @@ def relabel(g, perm):
     return Multigraph(g.n, mult, loops)
 
 
-def disjoint_union(g1, g2):
-    off = g1.n
-    mult = dict(g1.mult)
-    for (u, v), m in g2.mult.items():
-        mult[(u + off, v + off)] = m
-    loops = dict(g1.loops)
-    for v, c in g2.loops.items():
-        loops[v + off] = c
-    return Multigraph(g1.n + g2.n, mult, loops)
-
-
 def connected_components(g):
     """Vertex sets of the connected components, each sorted."""
     seen = [False] * g.n
@@ -500,9 +489,11 @@ def canonical_form(g):
         for (a, b), m in g.mult.items():
             x, y = p[a], p[b]
             e = (x, y) if x < y else (y, x)
-            assert g.mult.get(e, 0) == m
+            if g.mult.get(e, 0) != m:
+                raise AssertionError("recorded automorphism moves an edge")
         for v, c in g.loops.items():
-            assert g.loops.get(p[v], 0) == c
+            if g.loops.get(p[v], 0) != c:
+                raise AssertionError("recorded automorphism moves a loop")
     g._canon = ",".join(map(str, best[0])).encode()
     return g._canon
 

@@ -1,6 +1,7 @@
 """Brute-force ground truth: spanning-tree enumeration, tree-partition and
 tree/forest-partition counters, diagonal coefficients of tree polynomials,
-raw transition-system sums, and exact Kirchhoff evaluations.
+edge-cut enumeration, raw transition-system sums, and exact Kirchhoff
+evaluations.
 
 Everything in this module is deliberately naive.  It exists so the clever
 recursions elsewhere have something slow and obviously-correct to answer to.
@@ -241,6 +242,24 @@ def count_tree_forest_partitions(h, r):
         return total
 
     return count(full, r, r)
+
+
+# -- edge cuts -------------------------------------------------------------
+
+
+def cut_size(g, side):
+    """Edge instances with exactly one end in side (loops never cross)."""
+    return sum(m for (u, v), m in g.mult.items() if (u in side) != (v in side))
+
+
+def all_cuts(g):
+    """Yield (side, size) over every proper bipartition, side a frozenset
+    containing vertex 0, by side size and then lexicographically."""
+    rest = list(range(1, g.n))
+    for r in range(0, g.n - 1):
+        for extra in itertools.combinations(rest, r):
+            side = frozenset((0,) + extra)
+            yield side, cut_size(g, side)
 
 
 # -- transition-system enumeration --------------------------------------

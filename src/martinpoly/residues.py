@@ -119,7 +119,8 @@ def graph_permanent(g, v0, vinf, orientation=None):
             base[rows_idx[b]][c] = -1
     stacked = [tuple(r) for r in base] * k
     value = _ryser_permanent(stacked)
-    assert value % factorial(k) ** nrows == 0
+    if value % factorial(k) ** nrows:
+        raise AssertionError("stacked permanent is not divisible by k!^rows")
     return value
 
 
@@ -275,7 +276,8 @@ def point_count(g, p, budget=4 * 10 ** 6):
 def c2(g, p, budget=4 * 10 ** 6):
     """The point count divided by p^2, reduced mod p."""
     n_points = point_count(g, p, budget)
-    assert n_points % (p * p) == 0
+    if n_points % (p * p):
+        raise AssertionError("point count is not divisible by p^2")
     return ResidueReport(p, (n_points // (p * p)) % p,
                          {"method": "point-count", "points": n_points})
 

@@ -1,6 +1,13 @@
 """Connectivity and cut surgery: minimum edge cuts, cyclic connectivity,
 cut splitting, decomposition into cyclically-connected factors, 3-vertex-cut
-splitting with completion, and the 4-cut twist."""
+splitting with completion, and the 4-cut twist.
+
+Every cut question on at most EXHAUSTIVE_CUT_LIMIT vertices is answered by
+one exhaustive scan, `_all_cuts`, which walks the proper bipartitions in
+Gray-code order and updates the cut size incrementally.  Above the limit
+only the minimum cut value is available (Stoer-Wagner): the recursion's
+cut-product shortcut never fires there, and `nontrivial_cuts` and
+`is_cyclically_connected` raise."""
 
 from __future__ import annotations
 
@@ -23,12 +30,47 @@ def _cut_size(g, side):
 
 
 def _all_cuts(g):
-    """Yield (side, size) over all proper bipartitions; side contains vertex 0."""
-    rest = list(range(1, g.n))
-    for r in range(0, g.n - 1):
-        for extra in itertools.combinations(rest, r):
-            side = frozenset((0,) + extra)
-            yield side, _cut_size(g, side)
+    """Yield (side, size, count) for each of the 2^(n-1) - 1 proper
+    bipartitions: side is a bitmask of the vertices on vertex 0's side,
+    count their number, size the cut's edge count with multiplicity.
+
+    The sides come in Gray-code order over vertices 1..n-1, skipping the
+    one code that puts every vertex on the side: step s toggles vertex
+    (s & -s).bit_length(), so each step changes the cut size by
+    deg(v) - 2 * (weight of v's edges into the side), and costs one pass
+    over v's distinct neighbours.  Loops never cross a cut."""
+    n = g.n
+    if n < 2:
+        return
+    adj = g.adjacency()
+    nbrs = [tuple(a.items()) for a in adj]
+    deg = [sum(a.values()) for a in adj]
+    into = [0] * n
+    for u, m in nbrs[0]:
+        into[u] += m
+    full = (1 << n) - 1
+    side, size, count = 1, deg[0], 1
+    yield side, size, count
+    for s in range(1, 1 << (n - 1)):
+        v = (s & -s).bit_length()
+        side ^= 1 << v
+        if side >> v & 1:
+            size += deg[v] - 2 * into[v]
+            count += 1
+            for u, m in nbrs[v]:
+                into[u] += m
+        else:
+            size -= deg[v] - 2 * into[v]
+            count -= 1
+            for u, m in nbrs[v]:
+                into[u] -= m
+        if side != full:
+            yield side, size, count
+
+
+def _vertices(mask):
+    """The vertices of a side bitmask, in increasing order."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def _stoer_wagner(g):
@@ -70,32 +112,40 @@ def _stoer_wagner(g):
 
 def edge_connectivity(g):
     """Minimum edge-cut size over all vertex bipartitions, with multiplicity;
-    0 exactly when the graph is disconnected. Loops never cross a cut."""
+    0 exactly when the graph is disconnected. Loops never cross a cut.
+
+    Up to EXHAUSTIVE_CUT_LIMIT vertices this is the minimum over the
+    Gray-code scan; above it, Stoer-Wagner gives the value alone."""
     if g.n < 2:
         raise ValueError("edge connectivity needs at least 2 vertices")
     if not is_connected(g):
         return 0
     if g.n <= EXHAUSTIVE_CUT_LIMIT:
-        return min(size for _, size in _all_cuts(g))
+        return min(size for _, size, _ in _all_cuts(g))
     return _stoer_wagner(g)
 
 
 def nontrivial_cuts(g, size):
     """All cuts of exactly the given size with >= 2 vertices on both sides,
-    as frozensets containing vertex 0, in deterministic (lex) order."""
+    as frozensets containing vertex 0, ordered by side size and then
+    lexicographically.  Found by the exhaustive Gray-code scan, so graphs
+    above EXHAUSTIVE_CUT_LIMIT vertices raise ValueError."""
     if g.n > EXHAUSTIVE_CUT_LIMIT:
         raise ValueError("nontrivial cut enumeration is exhaustive; graph too big")
     out = []
-    for side, sz in _all_cuts(g):
-        if sz == size and 2 <= len(side) <= g.n - 2:
-            out.append(side)
-    return out
+    for side, sz, count in _all_cuts(g):
+        if sz == size and 2 <= count <= g.n - 2:
+            out.append(_vertices(side))
+    out.sort(key=lambda vs: (len(vs), vs))
+    return [frozenset(vs) for vs in out]
 
 
 def is_cyclically_connected(g, threshold):
     """Whether every edge cut smaller than the threshold is trivial (isolates
     one vertex).  Returns (flag, witness): witness is a minimal nontrivial
-    EdgeCut when the answer is False, else None."""
+    EdgeCut when the answer is False, else None.  The check is the
+    exhaustive Gray-code scan, so graphs above EXHAUSTIVE_CUT_LIMIT vertices
+    raise ValueError."""
     degs = set(g.degrees())
     if len(degs) != 1:
         raise ValueError("cyclic connectivity is defined here for regular graphs")
@@ -103,14 +153,13 @@ def is_cyclically_connected(g, threshold):
         return True, None
     if g.n > EXHAUSTIVE_CUT_LIMIT:
         raise ValueError("cyclic connectivity check is exhaustive; graph too big")
-    best = None
-    for side, sz in _all_cuts(g):
-        if 2 <= len(side) <= g.n - 2 and sz < threshold:
-            if best is None or sz < best.size:
-                best = EdgeCut(side, sz)
-    if best is None:
+    best_side, best_size = None, threshold
+    for side, sz, count in _all_cuts(g):
+        if sz < best_size and 2 <= count <= g.n - 2:
+            best_side, best_size = side, sz
+    if best_side is None:
         return True, None
-    return False, best
+    return False, EdgeCut(frozenset(_vertices(best_side)), best_size)
 
 
 def split_edge_cut(g, cut):

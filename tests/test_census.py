@@ -13,6 +13,7 @@ from martinpoly.census import (
     record_to_graph,
 )
 from martinpoly.families import complete_graph, cycle, octahedron
+from martinpoly.martin import martin_invariant
 from martinpoly.multigraph import canonical_form, duplicate
 from martinpoly.structure import twist
 
@@ -80,11 +81,52 @@ def test_cache_round_trip(tmp_path):
 
 def test_cache_compacts_stale_lines(tmp_path):
     path = tmp_path / "cache.tsv"
-    path.write_text("k\tM\told\nk\tM\tnew\nother\tM\t1\n")
+    path.write_text("0a\tM\told\n0a\tM\tnew\nff\tM\t1\n")
     cache = InvariantCache(str(path))
-    assert cache.get("k", "M") == "new"  # last write wins
+    assert cache.get("0a", "M") == "new"  # last write wins
     lines = path.read_text().splitlines()
-    assert sorted(lines) == ["k\tM\tnew", "other\tM\t1"]
+    assert sorted(lines) == ["0a\tM\tnew", "ff\tM\t1"]
+
+
+def test_cache_drops_torn_final_line(tmp_path):
+    # a kill mid-append leaves the last line without its newline; the next
+    # append must not be glued onto it and read back as a value
+    path = tmp_path / "cache.tsv"
+    graphs = tmp_path / "graphs.txt"
+    graphs.write_text(_graph_line("octa", octahedron()))
+    key = canonical_form(octahedron()).hex()
+    path.write_text("%s\tM\t14" % key)
+    assert InvariantCache(str(path)).get(key, "M") is None
+    assert path.read_text() == ""
+    path.write_text("%s\tM\t14\n%s" % (key, key[:6]))
+    main(["compute", "--input", str(graphs), "--tasks", "M,M2",
+          "--cache", str(path), "--out", str(tmp_path / "out.tsv")])
+    main(["compute", "--input", str(graphs), "--tasks", "M,M2",
+          "--cache", str(path), "--out", str(tmp_path / "again.tsv")])
+    reloaded = InvariantCache(str(path))
+    assert reloaded.get(key, "M") == "14"
+    assert reloaded.get(key, "M2") == str(martin_invariant(
+        duplicate(octahedron(), 2)))
+    assert (tmp_path / "out.tsv").read_text() == \
+        (tmp_path / "again.tsv").read_text()
+    assert all(line.count("\t") == 2
+               for line in path.read_text().splitlines())
+
+
+def test_cache_skips_garbage_lines(tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_text("no tabs at all\n"
+                    "0a\tM\t6\n"
+                    "0a\tM2\t1\textra\n"
+                    "XYZ\tM\t7\n"
+                    "\tM\t8\n"
+                    "0b\t\t9\n"
+                    "\n"
+                    "0c\tpoly\t0,36,15\n")
+    cache = InvariantCache(str(path))
+    assert cache.data == {("0a", "M"): "6", ("0c", "poly"): "0,36,15"}
+    assert sorted(path.read_text().splitlines()) == \
+        ["0a\tM\t6", "0c\tpoly\t0,36,15"]
 
 
 def test_cache_in_memory_without_path():

@@ -7,11 +7,17 @@ import random
 
 import pytest
 
+from martinpoly import oracle
 from martinpoly.families import circulant, complete_graph, cycle, octahedron
-from martinpoly.martin import martin_invariant, martin_sequence
-from martinpoly.multigraph import duplicate, from_edges, is_isomorphic
+from martinpoly.martin import (closed_form_circulant, martin_invariant,
+                               martin_sequence)
+from martinpoly.multigraph import Multigraph, duplicate, from_edges, \
+    is_isomorphic
 from martinpoly.structure import (
     EdgeCut,
+    _all_cuts,
+    _stoer_wagner,
+    _vertices,
     decompose,
     edge_connectivity,
     four_vertex_cuts,
@@ -62,6 +68,90 @@ def test_cyclic_connectivity_witness():
     assert flag and witness is None
     flag, witness = is_cyclically_connected(complement_c3_c4(), 6)
     assert flag and witness is None
+
+
+def _pairing_model(n, degree, rng):
+    """Random loop-free degree-regular multigraph: pair up the edge ends at
+    random, retrying until no pair is a loop."""
+    while True:
+        ends = [v for v in range(n) for _ in range(degree)]
+        rng.shuffle(ends)
+        pairs = list(zip(ends[0::2], ends[1::2]))
+        if all(a != b for a, b in pairs):
+            return from_edges(n, pairs)
+
+
+def _random_regular_graphs():
+    rng = random.Random(2304)
+    return [_pairing_model(n, degree, rng)
+            for degree in (4, 8) for n in range(9, 15) for _ in range(2)]
+
+
+def _check_cut_scan_against_oracle(g):
+    cuts = list(oracle.all_cuts(g))
+    expected = dict(cuts)
+    scanned = {}
+    for side, size, count in _all_cuts(g):
+        vs = _vertices(side)
+        assert len(vs) == count
+        scanned[frozenset(vs)] = size
+    assert scanned == expected
+    if g.n < 2:
+        return
+    lam = min(expected.values())
+    assert edge_connectivity(g) == lam
+    d = max(g.degrees())
+    for size in (d, d + 2):
+        assert nontrivial_cuts(g, size) == [
+            side for side, sz in cuts
+            if sz == size and 2 <= len(side) <= g.n - 2]
+    if g.n < 4 or len(set(g.degrees())) != 1:
+        return
+    small = [sz for side, sz in expected.items()
+             if 2 <= len(side) <= g.n - 2 and sz < d + 2]
+    flag, witness = is_cyclically_connected(g, d + 2)
+    assert flag == (not small)
+    if small:
+        assert witness.size == min(small)
+        assert oracle.cut_size(g, witness.side) == witness.size
+        assert 0 in witness.side
+
+
+def test_cut_scan_matches_oracle_on_small_classes():
+    for n in (3, 4, 5, 6):
+        for g in generated(n):
+            _check_cut_scan_against_oracle(g)
+
+
+def test_cut_scan_matches_oracle_on_random_regular_graphs():
+    for g in _random_regular_graphs():
+        _check_cut_scan_against_oracle(g)
+
+
+def test_stoer_wagner_matches_oracle():
+    rng = random.Random(1998)
+    for trial in range(60):
+        n = rng.randint(5, 12)
+        mult = {}
+        for v in range(1, n):  # a random spanning tree keeps it connected
+            u = rng.randrange(v)
+            mult[(u, v)] = rng.randint(1, 3)
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = sorted(rng.sample(range(n), 2))
+            mult[(u, v)] = mult.get((u, v), 0) + rng.randint(1, 3)
+        loops = {rng.randrange(n): 1} if trial % 3 == 0 else {}
+        g = Multigraph(n, mult, loops)
+        assert _stoer_wagner(g) == min(sz for _, sz in oracle.all_cuts(g))
+
+
+def test_recursion_above_exhaustive_cut_limit():
+    for n in range(17, 21):
+        g = circulant(n, (1, 2))
+        assert martin_invariant(g) == closed_form_circulant(n)
+    with pytest.raises(ValueError):
+        nontrivial_cuts(circulant(17, (1, 2)), 4)
+    with pytest.raises(ValueError):
+        is_cyclically_connected(circulant(17, (1, 2)), 6)
 
 
 def test_martin_vanishes_exactly_below_full_connectivity():
