@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -59,25 +60,48 @@ def record_to_graph(record):
 
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RESIDUE = re.compile(r"([0-9]+) mod ([0-9]+)")
+
+
+def _valid_value(task, value):
+    """Whether value has the form _compute_task gives task: a rational for
+    M and M<r>, rationals joined by commas for poly, and "<r> mod <m>" with
+    0 <= r < m for perm and c2@<p>, where m must be the prime p."""
+    if re.fullmatch(r"M([1-9][0-9]*)?", task):
+        return bool(_RATIONAL.fullmatch(value))
+    if task == "poly":
+        return all(_RATIONAL.fullmatch(c) for c in value.split(","))
+    c2 = re.fullmatch(r"c2@([0-9]+)", task)
+    residue = _RESIDUE.fullmatch(value)
+    if not residue or not (c2 or task == "perm"):
+        return False
+    r, m = int(residue[1]), int(residue[2])
+    if c2 and (m != int(c2[1]) or not residues.is_prime(m)):
+        return False
+    return r < m
 
 
 def _cache_fields(line):
     """(key, task, value) of a complete cache line, or None when the line is
-    torn (no final newline, as a kill mid-append leaves it) or malformed."""
+    torn (no final newline, as a kill mid-append leaves it), malformed, or
+    holds a task or value that _compute_task never writes."""
     if not line.endswith("\n"):
         return None
     fields = line[:-1].split("\t")
     if len(fields) != 3 or not all(fields) \
-            or not _HEX_DIGITS.issuperset(fields[0]):
+            or not _HEX_DIGITS.issuperset(fields[0]) \
+            or not _valid_value(fields[1], fields[2]):
         return None
     return fields
 
 
 class InvariantCache:
     """Append-only file of "hex-key TAB task TAB value" lines; duplicate
-    (key, task) pairs are resolved last-wins, and they, torn lines and
-    malformed lines are compacted away on load.  A value is only ever read
-    from a complete, well-formed line."""
+    (key, task) pairs are resolved last-wins, and they, torn lines,
+    malformed lines and lines whose task or value does not parse are
+    compacted away on load.  A value is only ever read from a complete,
+    well-formed line whose value has its task's form."""
 
     def __init__(self, path=None):
         self.path = path

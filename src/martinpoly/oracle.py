@@ -1,7 +1,7 @@
 """Brute-force ground truth: spanning-tree enumeration, tree-partition and
 tree/forest-partition counters, diagonal coefficients of tree polynomials,
-edge-cut enumeration, raw transition-system sums, and exact Kirchhoff
-evaluations.
+edge-cut enumeration, raw transition-system sums, exact Kirchhoff
+evaluations, the point-by-point F_p sweep, and Ryser's permanent.
 
 Everything in this module is deliberately naive.  It exists so the clever
 recursions elsewhere have something slow and obviously-correct to answer to.
@@ -133,7 +133,8 @@ def count_tree_partitions(g, k, ordered=True):
     n_ordered = count(full)
     if ordered:
         return n_ordered
-    assert n_ordered % factorial(k) == 0
+    if n_ordered % factorial(k):
+        raise AssertionError("ordered partition count is not divisible by k!")
     return n_ordered // factorial(k)
 
 
@@ -438,3 +439,88 @@ def kirchhoff_evaluate(g, assignment, variant="trees"):
                 M[m + v][t] = 1
         return _det_bareiss(M)
     raise ValueError("variant must be 'trees' or 'complements'")
+
+
+# -- point counts and permanents -----------------------------------------
+
+
+def _contract(n, edges):
+    """Component index of each vertex once the edges are contracted, or None
+    if they hold a loop or a cycle."""
+    uf = _UnionFind(n)
+    for (u, v, _) in edges:
+        if u == v or not uf.union(u, v):
+            return None
+    comps = {}
+    return [comps.setdefault(uf.find(i), len(comps)) for i in range(n)]
+
+
+def point_count_sweep(g, p):
+    """Number of points x in F_p^m with Psi_g(x) = 0, one point at a time.
+
+    At each point the zero-coordinate edges are contracted.  A zero loop or
+    a zero cycle makes every term vanish; otherwise Psi vanishes exactly when
+    the reduced Laplacian of the contracted graph, weighted by 1/x, is
+    singular mod p."""
+    if p < 2 or any(p % d == 0 for d in range(2, p)):
+        raise ValueError("p must be prime")
+    inst = g.edge_instances()
+    m = len(inst)
+    if not is_connected(g):
+        return p ** m  # no spanning trees: Psi is identically zero
+    inv = [0] + [pow(x, p - 2, p) for x in range(1, p)]
+    contractions = {}
+    count = 0
+    for point in itertools.product(range(p), repeat=m):
+        zeros = tuple(t for t, x in enumerate(point) if not x)
+        if zeros not in contractions:
+            contractions[zeros] = _contract(g.n, [inst[t] for t in zeros])
+        comp = contractions[zeros]
+        if comp is None:
+            count += 1  # no tree contains a zero loop or cycle
+            continue
+        size = max(comp)
+        L = [[0] * size for _ in range(size)]
+        for x, (u, v, _) in zip(point, inst):
+            a, b = comp[u], comp[v]
+            if not x or a == b:
+                continue
+            w = inv[x]
+            if a < size:
+                L[a][a] += w
+            if b < size:
+                L[b][b] += w
+            if a < size and b < size:
+                L[a][b] -= w
+                L[b][a] -= w
+        if _det_bareiss(L) % p == 0:
+            count += 1
+    return count
+
+
+def ryser_permanent(rows):
+    """Permanent of a square integer matrix (list of row tuples) by Ryser's
+    formula over all 2^n column subsets, in Gray-code order."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
+    sums = [0] * n
+    total = 0
+    popcount = 0
+    for s in range(1, 1 << n):
+        j = (s & -s).bit_length() - 1  # column toggled by this Gray step
+        if (s ^ (s >> 1)) & (1 << j):
+            popcount += 1
+            for i in range(n):
+                sums[i] += rows[i][j]
+        else:
+            popcount -= 1
+            for i in range(n):
+                sums[i] -= rows[i][j]
+        prod = 1
+        for v in sums:
+            prod *= v
+        total += prod if (n - popcount) % 2 == 0 else -prod
+    return total

@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from math import factorial
+from math import comb, factorial
 
 from .martin import martin_invariant
-from .multigraph import Multigraph, delete_vertex, duplicate
+from .multigraph import delete_vertex, duplicate, is_connected
 from .oracle import BudgetExceeded, MarkedGraph, count_tree_forest_partitions
-from .multigraph import is_connected
 
 ResidueReport = namedtuple("ResidueReport", ["modulus", "residue", "provenance"])
 
@@ -46,34 +45,58 @@ def _regular_k(g):
 
 def _ryser_permanent(rows):
     """Permanent of a square integer matrix (list of row tuples) by Ryser's
-    formula with Gray-code column updates."""
+    formula on the transpose, with identical rows grouped.
+
+    With distinct rows r_1..r_d taken k_1..k_d times, a row subset is fixed
+    up to relabelling by how many copies c_t of each it takes, so
+
+        perm = sum over 0 <= c_t <= k_t of (-1)^(N - sum c) prod C(k_t, c_t)
+               prod_j (sum_t c_t r_t[j]),
+
+    (k_1+1)...(k_d+1) terms instead of 2^N; with all rows distinct it is
+    plain Ryser, 2^N terms.  The c vectors are visited in reflected
+    mixed-radix Gray order, so each step moves one c_t by one and updates
+    the column sums by one row.  oracle.ryser_permanent is the ungrouped
+    reference."""
     n = len(rows)
     if n == 0:
         return 1
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
+    copies = {}
+    for r in rows:
+        copies[tuple(r)] = copies.get(tuple(r), 0) + 1
+    distinct = list(copies)
+    ks = [copies[r] for r in distinct]
+    binoms = [[comb(k, i) for i in range(k + 1)] for k in ks]
+    d = len(distinct)
+    c = [0] * d
+    step = [1] * d
     sums = [0] * n
+    taken = 0
     total = 0
-    popcount = 0
-    for s in range(1, 1 << n):
-        j = (s & -s).bit_length() - 1  # column toggled by this Gray step
-        if (s ^ (s >> 1)) & (1 << j):
-            popcount += 1
-            for i in range(n):
-                sums[i] += rows[i][j]
-        else:
-            popcount -= 1
-            for i in range(n):
-                sums[i] -= rows[i][j]
+    while True:
+        t = 0
+        while t < d and not 0 <= c[t] + step[t] <= ks[t]:
+            step[t] = -step[t]
+            t += 1
+        if t == d:
+            return total
+        delta = step[t]
+        c[t] += delta
+        taken += delta
+        row = distinct[t]
+        for j in range(n):
+            sums[j] += delta * row[j]
         prod = 1
         for v in sums:
             if not v:
-                prod = 0
                 break
             prod *= v
-        if prod:
-            total += prod if (n - popcount) % 2 == 0 else -prod
-    return total
+        else:
+            for b, ct in zip(binoms, c):
+                prod *= b[ct]
+            total += prod if (n - taken) % 2 == 0 else -prod
 
 
 def default_orientation(g, vinf):
@@ -87,7 +110,11 @@ def graph_permanent(g, v0, vinf, orientation=None):
     g minus vinf (rows: vertices other than v0 and vinf; columns: remaining
     edge instances, oriented).  Any self-loop away from vinf produces a zero
     column, hence 0; choices change only the sign of the underlying
-    permanent before squaring."""
+    permanent before squaring.
+
+    The stacked matrix holds k copies of each of its n-2 base rows, so
+    _ryser_permanent takes (k+1)^(n-2) terms rather than 2^(k(n-2)): 5^6
+    against 2^24 for the doubled C8(1,2)."""
     k = _regular_k(g)
     if v0 == vinf or not (0 <= v0 < g.n and 0 <= vinf < g.n):
         raise ValueError("v0 and vinf must be distinct vertices")
@@ -166,13 +193,16 @@ def extended_permanent(g, r_list):
 # -- point counts and c2 ---------------------------------------------------
 
 
-def _det_mod_p(mat, p):
-    n = len(mat)
-    a = [row[:] for row in mat]
+def _eliminate(a, steps, p):
+    """Gaussian elimination mod p, in place, of the first `steps` columns of
+    the square matrix a, pivoting within its first `steps` rows.  Returns
+    the determinant of that leading block mod p (0 if it is singular); the
+    trailing block is then its Schur complement."""
+    n = len(a)
     det = 1
-    for i in range(n):
+    for i in range(steps):
         piv = None
-        for r in range(i, n):
+        for r in range(i, steps):
             if a[r][i] % p:
                 piv = r
                 break
@@ -195,81 +225,131 @@ def point_count(g, p, budget=4 * 10 ** 6):
     """Number of points x in F_p^m with Psi_g(x) = 0, where Psi is the sum
     over spanning trees of the product of the non-tree variables.
 
-    The sweep is literal: every point is visited and the block-determinant
-    value tested for zero.  Per point, the pivots on nonzero coordinates are
-    taken first, which reduces the test to a single small weighted-Laplacian
-    determinant on the graph with the zero-coordinate edges contracted.
+    The points are counted by their set Z of zero coordinates, never one at
+    a time (the point-by-point sweep is oracle.point_count_sweep):
+
+      * every term of Psi holds every loop variable, so the loops factor
+        out and the count reduces to the loop-free part;
+      * when Z holds a cycle, Psi vanishes on the whole stratum, which is
+        counted in closed form as the complement of the forest strata;
+      * when Z is a forest, Psi is Psi of the graph with Z contracted.  The
+        edges that became loops are free nonzero factors, and Psi vanishes
+        exactly when the reduced Laplacian of what is left, weighted by
+        1/x, is singular.  1/x permutes F_p^*, and a bundle of k parallel
+        edges enters only through its weight sum s, taken by
+        c_k(s) = #{w in (F_p^*)^k : sum w = s} weightings.
+
+    Forests with the same contraction are gathered first, and the count for
+    each contracted graph, keyed by the labelled graph and never by its
+    canonical form, is memoized for the call.  The eliminations this takes
+    stay well under the p^m points of a sweep; the budget still bounds p^m.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
     if g.n < 3 or g.edge_count() < 2:
         raise ValueError("point counts need >= 3 vertices and >= 2 edges")
-    inst = g.edge_instances()
-    m = len(inst)
+    m = g.edge_count()
     if p ** m > budget:
         raise BudgetExceeded("p^m = %d points exceed the budget %d"
                              % (p ** m, budget))
     if not is_connected(g):
         return p ** m  # no spanning trees: Psi is identically zero
-    n = g.n
-    inv = [0] + [pow(x, p - 2, p) for x in range(1, p)]
-    nonloop = [(u, v) for (u, v, _) in inst]
-    count = 0
-    parent = list(range(n))
+    n_loops = sum(g.loops.values())
+    return p ** m - (p - 1) ** n_loops * _nonvanishing(g.n, g.mult, p)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for point in itertools.product(range(p), repeat=m):
-        # contract zero-coordinate edges; a zero loop coordinate kills Psi
-        for i in range(n):
-            parent[i] = i
-        zero_loop = False
-        acyclic = True
-        for x, (u, v) in zip(point, nonloop):
-            if x:
-                continue
-            if u == v:
-                zero_loop = True
-                break
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                acyclic = False
-                break
-            parent[rv] = ru
-        if zero_loop:
-            count += 1
-            continue
-        if not acyclic:
-            count += 1  # no tree contains a cycle, so every term vanishes
-            continue
-        comps = {}
-        for i in range(n):
-            comps.setdefault(find(i), len(comps))
-        nc = len(comps)
-        if nc == 1:
-            continue  # all terms collapse to a nonzero product
-        # weighted Laplacian (weights 1/x) of the contracted graph, reduced
-        L = [[0] * (nc - 1) for _ in range(nc - 1)]
-        for x, (u, v) in zip(point, nonloop):
-            if not x or u == v:
-                continue
-            a, b = comps[find(u)], comps[find(v)]
+def _bundle_weights(k, p):
+    """[c_k(s) for s in F_p]: the weightings of k parallel edges by F_p^*
+    with weight sum s.  They total (p-1)^k, and every s != 0 has the same
+    count, which falls short of c_k(0) by (-1)^k (c_0 = [1, 0, ...])."""
+    zero = ((p - 1) ** k + (-1) ** k * (p - 1)) // p
+    other = ((p - 1) ** k - (-1) ** k) // p
+    return [zero] + [other] * (p - 1)
+
+
+def _nonvanishing(n, mult, p):
+    """Points of F_p^m at which Psi of the connected loop-free multigraph
+    (n, mult) is nonzero: a sum over the forests Z of zero coordinates."""
+    m = sum(mult.values())
+    # vertex -> least vertex of its block, for each partition of the
+    # vertices that a forest of zero coordinates induces, with the number
+    # of such forests (a bundle of k edges offers k choices)
+    forests = {tuple(range(n)): 1}
+    for (u, v), k in sorted(mult.items()):
+        nxt = dict(forests)
+        for block, ways in forests.items():
+            a, b = block[u], block[v]
             if a == b:
                 continue
-            w = inv[x]
-            if a < nc - 1:
-                L[a][a] = (L[a][a] + w) % p
-            if b < nc - 1:
-                L[b][b] = (L[b][b] + w) % p
-            if a < nc - 1 and b < nc - 1:
-                L[a][b] = (L[a][b] - w) % p
-                L[b][a] = (L[b][a] - w) % p
-        if _det_mod_p(L, p) == 0:
-            count += 1
+            lo, hi = min(a, b), max(a, b)
+            merged = tuple(lo if x == hi else x for x in block)
+            nxt[merged] = nxt.get(merged, 0) + ways * k
+        forests = nxt
+    memo = {}
+    total = 0
+    for block, ways in forests.items():
+        index = {}
+        for x in block:
+            index.setdefault(x, len(index))
+        bundles = {}
+        for (u, v), k in mult.items():
+            a, b = index[block[u]], index[block[v]]
+            if a != b:
+                e = (a, b) if a < b else (b, a)
+                bundles[e] = bundles.get(e, 0) + k
+        key = (len(index), tuple(sorted(bundles.items())))
+        if key not in memo:
+            memo[key] = _nonsingular_weightings(key[0], key[1], p)
+        loops = m - (n - len(index)) - sum(bundles.values())
+        total += ways * (p - 1) ** loops * memo[key]
+    return total
+
+
+def _nonsingular_weightings(nc, bundles, p):
+    """Weightings of the edges of the connected loop-free multigraph on nc
+    vertices by F_p^* whose reduced Laplacian (last vertex dropped) is
+    nonsingular mod p.  bundles lists ((a, b), k) with a < b.
+
+    One bundle (a, nc-1) at the dropped vertex adds its weight sum s to the
+    diagonal entry of a alone, and the determinant is affine in that entry:
+    det = D1*(t + s), with D1 the determinant of the rest and t the Schur
+    complement of the entry at s = 0.  One elimination per weighting of the
+    other bundles therefore settles every value of s; when D1 = 0 the
+    determinant does not depend on s, and a second one gives it."""
+    if nc == 1:
+        return 1
+    size = nc - 1
+    last = max((i for i, ((_, b), _) in enumerate(bundles) if b == size),
+               key=lambda i: bundles[i][1])
+    (a, _), k = bundles[last]
+    last_weights = _bundle_weights(k, p)
+    last_total = (p - 1) ** k
+    # matrix index of each vertex, with a moved to the last row
+    pos = list(range(nc))
+    pos[a], pos[size - 1] = size - 1, a
+    others = []
+    choices = []
+    for i, ((u, v), k) in enumerate(bundles):
+        if i != last:
+            weights = _bundle_weights(k, p)
+            others.append((pos[u], pos[v]))
+            choices.append([(s, weights[s]) for s in range(p) if weights[s]])
+    count = 0
+    for assignment in itertools.product(*choices):
+        lap = [[0] * size for _ in range(size)]
+        ways = 1
+        for (u, v), (s, w) in zip(others, assignment):
+            ways *= w
+            lap[u][u] += s
+            if v < size:
+                lap[v][v] += s
+                lap[u][v] -= s
+                lap[v][u] -= s
+        reduced = [row[:] for row in lap]
+        if _eliminate(reduced, size - 1, p):
+            count += ways * (last_total - last_weights[-reduced[-1][-1] % p])
+        elif _eliminate(lap, size, p):
+            count += ways * last_total
     return count
 
 

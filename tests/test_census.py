@@ -81,11 +81,11 @@ def test_cache_round_trip(tmp_path):
 
 def test_cache_compacts_stale_lines(tmp_path):
     path = tmp_path / "cache.tsv"
-    path.write_text("0a\tM\told\n0a\tM\tnew\nff\tM\t1\n")
+    path.write_text("0a\tM\t5\n0a\tM\t6\nff\tM\t1\n")
     cache = InvariantCache(str(path))
-    assert cache.get("0a", "M") == "new"  # last write wins
+    assert cache.get("0a", "M") == "6"  # last write wins
     lines = path.read_text().splitlines()
-    assert sorted(lines) == ["0a\tM\tnew", "ff\tM\t1"]
+    assert sorted(lines) == ["0a\tM\t6", "ff\tM\t1"]
 
 
 def test_cache_drops_torn_final_line(tmp_path):
@@ -127,6 +127,39 @@ def test_cache_skips_garbage_lines(tmp_path):
     assert cache.data == {("0a", "M"): "6", ("0c", "poly"): "0,36,15"}
     assert sorted(path.read_text().splitlines()) == \
         ["0a\tM\t6", "0c\tpoly\t0,36,15"]
+
+
+def test_cache_drops_values_that_do_not_parse_for_their_task(tmp_path):
+    # a cached line is served only for a known task and a value of that
+    # task's form; compute must answer as if the other lines were absent
+    graphs = tmp_path / "graphs.txt"
+    graphs.write_text(_graph_line("octa", octahedron()))
+    key = canonical_form(octahedron()).hex()
+    bad = ["foo\tbar", "perm\tgarbage", "c2@3\t1 mod 7", "M\tfourteen",
+           "M0\t1", "poly\t1,,2", "perm\t3 mod 3", "c2@4\t1 mod 4"]
+    good = ["M\t14", "M2\t84096", "poly\t0,8,6", "c2@2\t1 mod 2"]
+    path = tmp_path / "cache.tsv"
+    path.write_text("".join("%s\t%s\n" % (key, line) for line in bad + good))
+    cache = InvariantCache(str(path))
+    assert sorted(task for (_, task) in cache.data) == \
+        ["M", "M2", "c2@2", "poly"]
+    assert sorted(path.read_text().splitlines()) == \
+        sorted("%s\t%s" % (key, line) for line in good)
+    path.write_text("".join("%s\t%s\n" % (key, line) for line in bad))
+    outs = []
+    for name, cache_args in (("cached", ["--cache", str(path)]),
+                             ("fresh", [])):
+        out = tmp_path / ("%s.tsv" % name)
+        main(["compute", "--input", str(graphs), "--tasks", "M,foo,perm,c2@3",
+              "--out", str(out)] + cache_args)
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+    header, row = outs[0].splitlines()
+    cells = dict(zip(header.split("\t"), row.split("\t")))
+    assert cells["M"] == "14"
+    assert cells["foo"] == "error: unknown task 'foo'"
+    assert cells["perm"] == "1 mod 3"
+    assert cells["c2@3"] == "2 mod 3"
 
 
 def test_cache_in_memory_without_path():

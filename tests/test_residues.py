@@ -7,6 +7,7 @@ import random
 import pytest
 
 from martinpoly.families import (
+    circulant,
     complete_graph,
     cycle,
     dipole,
@@ -14,9 +15,20 @@ from martinpoly.families import (
     wheel,
 )
 from martinpoly.martin import martin_invariant
-from martinpoly.multigraph import delete_vertex, duplicate, from_edges
-from martinpoly.oracle import BudgetExceeded
+from martinpoly.multigraph import (
+    canonical_form,
+    connected_components,
+    delete_vertex,
+    duplicate,
+    from_edges,
+)
+from martinpoly.oracle import (
+    BudgetExceeded,
+    point_count_sweep,
+    ryser_permanent,
+)
 from martinpoly.residues import (
+    _ryser_permanent,
     c2,
     c2_from_martin,
     c2_from_trees_forests,
@@ -131,6 +143,32 @@ def test_extended_permanent_matches_martin_sequence():
         extended_permanent(k5, [4])  # 2*4 + 1 = 9 is composite
 
 
+def test_extended_permanent_c8_matches_martin_sequence():
+    # 5^6 grouped Ryser terms here, against 2^24 ungrouped ones
+    g = circulant(8, (1, 2))
+    [rep] = extended_permanent(g, [2])
+    assert rep.modulus == 5
+    m = martin_invariant(duplicate(g, 2))
+    assert (m - (-1) ** (8 - 1) * rep.residue) % 5 == 0
+
+
+def test_grouped_ryser_matches_oracle():
+    rng = random.Random(2024)
+    for n in range(9):
+        for _ in range(12):
+            distinct = set()
+            while len(distinct) < n:
+                distinct.add(tuple(rng.randint(-3, 3) for _ in range(n)))
+            distinct = list(distinct)
+            base = distinct[:rng.randint(1, max(1, n // 2))]
+            repeated = [rng.choice(base) for _ in range(n)]
+            for rows in (distinct, repeated):
+                assert _ryser_permanent(rows) == ryser_permanent(rows)
+    # a stacked incidence matrix, as graph_permanent builds it
+    rows = [(1, -1, 0, 1), (0, 1, 1, -1)] * 2
+    assert _ryser_permanent(rows) == ryser_permanent(rows) != 0
+
+
 # ------------------------------------------------------------------ point counts
 
 
@@ -157,6 +195,39 @@ def test_point_counts_divisible_by_p_squared():
             if p ** g.edge_count() > 10 ** 5:
                 continue
             assert point_count(g, p) % (p * p) == 0
+
+
+def test_point_count_matches_sweep_on_decompletions():
+    # point counts are isomorphism invariants, so one decompletion per
+    # isomorphism class covers every decompletion of the 4-regular classes
+    decompletions = {}
+    for n in (5, 6):
+        for g in generated(n):
+            for u in range(n):
+                h = delete_vertex(g, u)
+                decompletions.setdefault(canonical_form(h), h)
+    for h in decompletions.values():
+        for p in (2, 3):
+            assert point_count(h, p) == point_count_sweep(h, p), (h, p)
+
+
+def test_point_count_matches_sweep_on_random_multigraphs():
+    rng = random.Random(4)
+    graphs = [from_edges(4, [(0, 1), (0, 1), (2, 3), (2, 3)]),  # disconnected
+              from_edges(3, [(0, 0), (0, 1), (1, 2), (1, 2), (2, 2)])]
+    while len(graphs) < 80:
+        n = rng.randint(3, 6)
+        edges = [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randint(2, 11))]
+        edges += [edges[0]] * rng.randint(0, 2)  # a parallel bundle
+        graphs.append(from_edges(n, edges))
+    assert any(g.loops for g in graphs)
+    assert any(m > 1 for g in graphs for m in g.mult.values())
+    assert any(len(connected_components(g)) > 1 for g in graphs)
+    for g in graphs:
+        for p in (2, 3, 5):
+            if p ** g.edge_count() <= 10 ** 5:
+                assert point_count(g, p) == point_count_sweep(g, p), (g, p)
 
 
 def test_point_count_validation():
@@ -217,6 +288,12 @@ def test_c2_completion_invariance():
     for p in (2, 3):
         values = {c2(delete_vertex(octa, v), p).residue for v in range(6)}
         assert len(values) == 1
+
+
+def test_c2_point_count_at_five_matches_martin():
+    octa = octahedron()
+    a = c2(delete_vertex(octa, 0), 5).residue
+    assert a == c2_from_martin(octa, 5).residue == 4
 
 
 def test_c2_from_martin_validation():
