@@ -12,8 +12,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import families, martin, oracle, polynomial, residues, structure
-from .multigraph import (Multigraph, canonical_form, delete_vertex, duplicate,
-                         from_edges, is_connected)
+from .multigraph import (canonical_form, delete_vertex, duplicate, from_edges,
+                         is_connected)
 
 GraphRecord = namedtuple("GraphRecord", ["name", "edges"])
 
@@ -62,22 +62,28 @@ def record_to_graph(record):
 _HEX_DIGITS = frozenset("0123456789abcdef")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _RESIDUE = re.compile(r"([0-9]+) mod ([0-9]+)")
+# the task grammar of both _compute_task and the cache: M, M<r>, poly,
+# perm and c2@<p>, with r and p written without leading zeros
+_TASK = re.compile(r"M(?P<r>[1-9][0-9]*)?|poly|perm|c2@(?P<p>[1-9][0-9]*)")
 
 
 def _valid_value(task, value):
     """Whether value has the form _compute_task gives task: a rational for
     M and M<r>, rationals joined by commas for poly, and "<r> mod <m>" with
     0 <= r < m for perm and c2@<p>, where m must be the prime p."""
-    if re.fullmatch(r"M([1-9][0-9]*)?", task):
+    parsed = _TASK.fullmatch(task)
+    if not parsed:
+        return False
+    if task.startswith("M"):
         return bool(_RATIONAL.fullmatch(value))
     if task == "poly":
         return all(_RATIONAL.fullmatch(c) for c in value.split(","))
-    c2 = re.fullmatch(r"c2@([0-9]+)", task)
     residue = _RESIDUE.fullmatch(value)
-    if not residue or not (c2 or task == "perm"):
+    if not residue:
         return False
     r, m = int(residue[1]), int(residue[2])
-    if c2 and (m != int(c2[1]) or not residues.is_prime(m)):
+    p = parsed["p"]
+    if p and (m != int(p) or not residues.is_prime(m)):
         return False
     return r < m
 
@@ -146,8 +152,11 @@ def _format_value(value):
 
 
 def _compute_task(g, task):
-    if task == "M" or (task.startswith("M") and task[1:].isdigit()):
-        r = 1 if task == "M" else int(task[1:])
+    parsed = _TASK.fullmatch(task)
+    if not parsed:
+        raise ValueError("unknown task %r" % task)
+    if task.startswith("M"):
+        r = int(parsed["r"] or 1)
         return _format_value(martin.martin_invariant(duplicate(g, r)))
     if task == "poly":
         coeffs = martin.martin_polynomial(g)
@@ -155,11 +164,8 @@ def _compute_task(g, task):
     if task == "perm":
         rep = residues.permanent_square_residue(g)
         return "%d mod %d" % (rep.residue, rep.modulus)
-    if task.startswith("c2@"):
-        p = int(task[3:])
-        rep = residues.c2_from_martin(g, p)
-        return "%d mod %d" % (rep.residue, rep.modulus)
-    raise ValueError("unknown task %r" % task)
+    rep = residues.c2_from_martin(g, int(parsed["p"]))
+    return "%d mod %d" % (rep.residue, rep.modulus)
 
 
 def compute_batch(records, tasks, cache=None):

@@ -14,10 +14,9 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import polynomial as poly
-from .multigraph import (Multigraph, TransitionMatrix, apply_transition,
+from .multigraph import (Multigraph, _classes, apply_transition,
                          canonical_form, connected_components, duplicate,
-                         enumerate_transition_matrices,
-                         transition_classes_with_loops, _symmetric_matrices)
+                         induced_subgraph, transition_classes)
 from .structure import EXHAUSTIVE_CUT_LIMIT, EdgeCut, _all_cuts, _vertices, \
     edge_connectivity, split_edge_cut
 
@@ -43,21 +42,10 @@ def _check_even_degrees(g):
 @lru_cache(maxsize=None)
 def _class_count(profile, with_loops):
     """Number of transition classes at a pivot whose sorted neighbor
-    multiplicities are `profile` (used only to rank pivot candidates)."""
-    d = list(profile)
-    if not d:
-        return 1
-    if with_loops:
-        total = 0
-        # reuse the full generator through a dummy star graph
-        star = Multigraph(len(d) + 1,
-                          {(0, i + 1): d[i] for i in range(len(d))})
-        for _ in transition_classes_with_loops(star, 0):
-            total += 1
-        return total
-    if len(d) == 1:
-        return 0
-    return sum(1 for _ in _symmetric_matrices(d))
+    multiplicities are `profile`, the loop-making ones only when with_loops
+    is set (used only to rank pivot candidates)."""
+    return sum(1 for _, L, _ in _classes(profile)
+               if with_loops or not any(L))
 
 
 def _pick_pivot(g, policy, with_loops):
@@ -96,11 +84,7 @@ def _mpoly(g, policy, memo):
     if len(comps) > 1:
         result = (1,)
         for comp in comps:
-            lab = {v: i for i, v in enumerate(comp)}
-            mult = {(lab[a], lab[b]): m for (a, b), m in g.mult.items()
-                    if a in lab and b in lab}
-            loops = {lab[v]: c for v, c in g.loops.items() if v in lab}
-            result = poly.mul(result, _mpoly(Multigraph(len(comp), mult, loops),
+            result = poly.mul(result, _mpoly(induced_subgraph(g, comp)[0],
                                              policy, memo))
         for _ in range(len(comps) - 1):
             result = poly.mul(result, (-2, 1))
@@ -127,9 +111,8 @@ def _mpoly(g, policy, memo):
         return result
     pivot = _pick_pivot(g, policy, with_loops=True)
     result = ()
-    for nbrs, D, L, coeff in transition_classes_with_loops(g, pivot):
-        child = apply_transition(g, pivot, TransitionMatrix(nbrs, D),
-                                 extra_loops=L)
+    for D, L, coeff in transition_classes(g, pivot):
+        child = apply_transition(g, pivot, D, L)
         result = poly.add(result, poly.scale(_mpoly(child, policy, memo), coeff))
     memo[key] = result
     return result
@@ -212,9 +195,10 @@ def _minv(g, k, policy, memo):
         return result
     pivot = _pick_pivot(g, policy, with_loops=False)
     result = 0
-    for tm, coeff in enumerate_transition_matrices(g, pivot):
-        child = apply_transition(g, pivot, tm)
-        result += coeff * _minv(child, k, policy, memo)
+    for D, L, coeff in transition_classes(g, pivot):
+        if not any(L):
+            result += coeff * _minv(apply_transition(g, pivot, D), k,
+                                    policy, memo)
     memo[key] = result
     return result
 

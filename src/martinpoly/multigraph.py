@@ -17,6 +17,7 @@ in this module.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import factorial
 
 
@@ -128,6 +129,8 @@ def from_edges(n, edges):
 
 def relabel(g, perm):
     """Apply a vertex permutation (perm[old] = new)."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("not a permutation of the %d vertices" % g.n)
     mult = {}
     for (u, v), m in g.mult.items():
         a, b = perm[u], perm[v]
@@ -172,45 +175,24 @@ def duplicate(g, r):
                       {v: c * r for v, c in g.loops.items()})
 
 
-def delete_vertex(g, v, return_map=False):
-    """Remove v with its loops and incident edges; labels are compacted.
+def induced_subgraph(g, vertices):
+    """The subgraph induced on the given vertices, with its edges and loops,
+    relabelled 0..k-1 in increasing order of old label.  Returns the graph
+    and the old-label -> new-label dict."""
+    lab = {v: i for i, v in enumerate(sorted(vertices))}
+    if any(not 0 <= v < g.n for v in lab):
+        raise ValueError("vertex out of range")
+    mult = {(lab[a], lab[b]): m for (a, b), m in g.mult.items()
+            if a in lab and b in lab}
+    loops = {lab[v]: c for v, c in g.loops.items() if v in lab}
+    return Multigraph(len(lab), mult, loops), lab
 
-    With return_map=True also returns the old-label -> new-label dict.
-    """
+
+def delete_vertex(g, v):
+    """Remove v with its loops and incident edges; labels are compacted."""
     if not 0 <= v < g.n:
         raise ValueError("unknown vertex %r" % (v,))
-    newlab = {}
-    for u in range(g.n):
-        if u != v:
-            newlab[u] = len(newlab)
-    mult = {}
-    for (a, b), m in g.mult.items():
-        if a != v and b != v:
-            mult[(newlab[a], newlab[b])] = m
-    loops = {newlab[u]: c for u, c in g.loops.items() if u != v}
-    h = Multigraph(g.n - 1, mult, loops)
-    return (h, newlab) if return_map else h
-
-
-class TransitionMatrix:
-    """A class of transitions at a pivot: neighbors w_1..w_m and a symmetric
-    zero-diagonal matrix D whose row sums are the pivot's edge multiplicities."""
-
-    __slots__ = ("neighbors", "D")
-
-    def __init__(self, neighbors, D):
-        self.neighbors = tuple(neighbors)
-        self.D = tuple(tuple(row) for row in D)
-
-    def __repr__(self):
-        return "TransitionMatrix(%r, %r)" % (self.neighbors, self.D)
-
-    def __eq__(self, other):
-        return (isinstance(other, TransitionMatrix)
-                and self.neighbors == other.neighbors and self.D == other.D)
-
-    def __hash__(self):
-        return hash((self.neighbors, self.D))
+    return induced_subgraph(g, [u for u in range(g.n) if u != v])[0]
 
 
 def _symmetric_matrices(d):
@@ -242,116 +224,69 @@ def _symmetric_matrices(d):
     yield from fill(0)
 
 
-def enumerate_transition_matrices(g, v):
-    """All loop-free transition classes at v with their multiplicities d!/D!.
+@lru_cache(maxsize=None)
+def _classes(d):
+    """Transition classes at a loop-free pivot whose neighbours, in
+    increasing order, have edge multiplicities d: triples (D, L, coeff).
 
-    Transitions that would pair two parallel edges (creating a self-loop at a
-    neighbor) are excluded here; the brute-force oracle and the polynomial
-    recursion account for them separately.
-    """
-    if g.loops.get(v, 0):
-        raise ValueError("pivot has a self-loop")
-    nbrs = sorted(g.neighbors(v))
-    d = [g.neighbors(v)[w] for w in nbrs]
-    if sum(d) % 2:
-        raise ValueError("pivot has odd degree")
-    out = []
-    if not nbrs:
-        return [(TransitionMatrix((), ()), 1)]
-    if len(nbrs) == 1:
-        return []  # every pairing joins parallel edges
+    D is the symmetric zero-diagonal matrix of new edges between neighbours,
+    L[i] the self-loops made at neighbour i, and coeff = prod d_i! /
+    (prod 2^L_i L_i! * prod_{i<j} D_ij!) the number of pairings of the
+    pivot's half-edges in the class; the coefficients sum to (deg - 1)!!.
+    Classes come with L in product order, so the loop-free ones (L = 0)
+    come first."""
     num = 1
     for di in d:
         num *= factorial(di)
-    m = len(nbrs)
-    for D in _symmetric_matrices(d):
+    out = []
+    for L in itertools.product(*(range(di // 2 + 1) for di in d)):
         den = 1
-        for i in range(m):
-            for j in range(i + 1, m):
-                den *= factorial(D[i][j])
-        out.append((TransitionMatrix(nbrs, D), num // den))
-    return out
+        for li in L:
+            den *= 2 ** li * factorial(li)
+        for D in _symmetric_matrices([di - 2 * li for di, li in zip(d, L)]):
+            dd = den
+            for i, row in enumerate(D):
+                for x in row[i + 1:]:
+                    dd *= factorial(x)
+            out.append((D, L, num // dd))
+    return tuple(out)
 
 
-def transition_classes_with_loops(g, v):
-    """Like enumerate_transition_matrices but including loop-producing
-    transitions: yields (neighbors, D, L, coefficient) where L[i] counts the
-    self-loops created at neighbor i.  Total coefficient mass is (deg(v)-1)!!.
-    """
+def transition_classes(g, v):
+    """All transition classes at the pivot v as (D, L, coeff) triples (see
+    _classes), indexed by v's neighbours in increasing order."""
     if g.loops.get(v, 0):
         raise ValueError("pivot has a self-loop")
-    nbrs = sorted(g.neighbors(v))
-    d = [g.neighbors(v)[w] for w in nbrs]
+    adj = g.neighbors(v)
+    d = tuple(adj[w] for w in sorted(adj))
     if sum(d) % 2:
         raise ValueError("pivot has odd degree")
-    m = len(nbrs)
-    out = []
-    # For each split of d into a loop part 2*L and a matched part d', the
-    # matched part pairs across neighbors with the usual d'!/D! count, and the
-    # loop part contributes (2L-1)!! internal pairings times the C(d, 2L)
-    # ways of choosing which parallel edges self-pair.
-    loop_ranges = [range(di // 2 + 1) for di in d]
-    for L in itertools.product(*loop_ranges):
-        dprime = [d[i] - 2 * L[i] for i in range(m)]
-        base = 1
-        for i in range(m):
-            # choose the 2L self-paired edges and match them up
-            c = factorial(d[i]) // (factorial(2 * L[i]) * factorial(dprime[i]))
-            base *= c * _double_factorial(2 * L[i] - 1)
-        numer = 1
-        for di in dprime:
-            numer *= factorial(di)
-        if m == 1:
-            if dprime[0] == 0:
-                out.append((tuple(nbrs), ((0,),), L, base))
-            continue
-        for D in _symmetric_matrices(dprime):
-            den = 1
-            for i in range(m):
-                for j in range(i + 1, m):
-                    den *= factorial(D[i][j])
-            out.append((tuple(nbrs), D, L, base * numer // den))
-    if not nbrs:
-        out.append(((), (), (), 1))
-    return out
+    return _classes(d)
 
 
-def _double_factorial(k):
-    # (-1)!! = 1 by convention
-    r = 1
-    while k > 1:
-        r *= k
-        k -= 2
-    return r
-
-
-def apply_transition(g, v, tm, extra_loops=None):
-    """Remove the pivot v and rewire per the transition matrix: D_ij new edges
-    between neighbors i and j (plus optional self-loops for the oracle path)."""
-    nbrs = tm.neighbors
+def apply_transition(g, v, D, L=None):
+    """Remove the pivot v and rewire: D[i][j] new edges between its i-th and
+    j-th neighbours (in increasing order), and L[i] new self-loops at the
+    i-th."""
     adj = g.neighbors(v)
-    if set(nbrs) != set(adj):
-        raise ValueError("transition matrix does not match the pivot's neighbors")
+    nbrs = sorted(adj)
     m = len(nbrs)
-    for i in range(m):
-        row = sum(tm.D[i][j] for j in range(m) if j != i)
-        expect = adj[nbrs[i]] - 2 * (extra_loops[i] if extra_loops else 0)
-        if row != expect or any(tm.D[i][i] for i in range(m)):
-            raise ValueError("invalid transition matrix for this pivot")
-    h, newlab = delete_vertex(g, v, return_map=True)
+    L = L or (0,) * m
+    if len(D) != m or len(L) != m or any(
+            len(D[i]) != m or D[i][i] or sum(D[i]) + 2 * L[i] != adj[nbrs[i]]
+            for i in range(m)):
+        raise ValueError("invalid transition matrix for this pivot")
+    h, lab = induced_subgraph(g, [u for u in range(g.n) if u != v])
     mult = dict(h.mult)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if tm.D[i][j]:
-                a, b = newlab[nbrs[i]], newlab[nbrs[j]]
-                e = (a, b) if a < b else (b, a)
-                mult[e] = mult.get(e, 0) + tm.D[i][j]
     loops = dict(h.loops)
-    if extra_loops:
-        for i in range(m):
-            if extra_loops[i]:
-                w = newlab[nbrs[i]]
-                loops[w] = loops.get(w, 0) + extra_loops[i]
+    for i in range(m):
+        a = lab[nbrs[i]]
+        if L[i]:
+            loops[a] = loops.get(a, 0) + L[i]
+        for j in range(i + 1, m):
+            if D[i][j]:
+                e = (a, lab[nbrs[j]])
+                mult[e] = mult.get(e, 0) + D[i][j]
     return Multigraph(h.n, mult, loops)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import polynomial as poly
-from .multigraph import Multigraph, is_connected
+from .multigraph import is_connected
 
 
 class BudgetExceeded(RuntimeError):

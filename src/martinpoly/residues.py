@@ -9,7 +9,7 @@ from collections import namedtuple
 from math import comb, factorial
 
 from .martin import martin_invariant
-from .multigraph import delete_vertex, duplicate, is_connected
+from .multigraph import duplicate, induced_subgraph, is_connected
 from .oracle import BudgetExceeded, MarkedGraph, count_tree_forest_partitions
 
 ResidueReport = namedtuple("ResidueReport", ["modulus", "residue", "provenance"])
@@ -422,10 +422,8 @@ def c2_from_trees_forests(g, v, w, p):
         raise ValueError("w needs three distinct single-edge neighbours besides v")
     r = p - 1
     h = duplicate(g, r)
-    first, second = max(v, w), min(v, w)
-    h, map1 = delete_vertex(h, first, return_map=True)
-    h, map2 = delete_vertex(h, map1[second], return_map=True)
-    a, b, c = (map2[map1[x]] for x in marks)
+    h, lab = induced_subgraph(h, [u for u in range(h.n) if u not in (v, w)])
+    a, b, c = (lab[x] for x in marks)
     n_rr = count_tree_forest_partitions(MarkedGraph(h, (a, b), c), r)
     base_edges = h.edge_count() // r
     denom = factorial(r) ** base_edges

@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .multigraph import Multigraph, canonical_form, connected_components, is_connected
+from .multigraph import (Multigraph, canonical_form, connected_components,
+                         induced_subgraph, is_connected)
 
 EXHAUSTIVE_CUT_LIMIT = 16
 
@@ -177,20 +178,14 @@ def split_edge_cut(g, cut):
         raise ValueError("cut size must equal the degree of the regular graph")
 
     def contract(keep):
-        keep_sorted = sorted(keep)
-        lab = {v: i for i, v in enumerate(keep_sorted)}
-        w = len(keep_sorted)
-        mult = {}
+        h, lab = induced_subgraph(g, keep)
+        w = h.n
+        mult = dict(h.mult)
         for (a, b), m in g.mult.items():
-            ina, inb = a in keep, b in keep
-            if ina and inb:
-                mult[(lab[a], lab[b])] = mult.get((lab[a], lab[b]), 0) + m
-            elif ina or inb:
-                x = lab[a] if ina else lab[b]
-                e = (x, w) if x < w else (w, x)
+            if (a in lab) != (b in lab):
+                e = (lab[a] if a in lab else lab[b], w)
                 mult[e] = mult.get(e, 0) + m
-        loops = {lab[v]: c for v, c in g.loops.items() if v in keep}
-        return Multigraph(w + 1, mult, loops)
+        return Multigraph(w + 1, mult, h.loops)
 
     return contract(side), contract(set(range(g.n)) - side)
 
@@ -287,13 +282,8 @@ def split_three_vertex_cut(g, cut_vertices, side_edges):
                 ends[b] += m
         d1, d2, d3 = (ends[c] for c in cut)
         ns = {(0, 1): (d1 + d2 - d3), (0, 2): (d1 + d3 - d2), (1, 2): (d2 + d3 - d1)}
-        vs_sorted = sorted(vs)
-        lab = {v: i for i, v in enumerate(vs_sorted)}
-        mult = {}
-        for (a, b), m in edges.items():
-            x, y = lab[a], lab[b]
-            e = (x, y) if x < y else (y, x)
-            mult[e] = mult.get(e, 0) + m
+        h, lab = induced_subgraph(Multigraph(g.n, edges, g.loops), vs)
+        mult = dict(h.mult)
         for (i, j), twice_n in ns.items():
             if twice_n % 2:
                 raise ValueError("completion counts are not integral")
@@ -306,8 +296,7 @@ def split_three_vertex_cut(g, cut_vertices, side_edges):
                 x, y = lab[cut[i]], lab[cut[j]]
                 e = (x, y) if x < y else (y, x)
                 mult[e] = mult.get(e, 0) + n
-        loops = {lab[v]: c for v, c in g.loops.items() if v in vs}
-        return Multigraph(len(vs_sorted), mult, loops)
+        return Multigraph(h.n, mult, h.loops)
 
     return build(v1, e1, e2), build(v2, e2, e1)
 
@@ -378,35 +367,17 @@ def four_vertex_cuts(g):
     S) as the chosen side.  S-S edges stay on the other side."""
     out = []
     for s in itertools.combinations(range(g.n), 4):
-        sset = set(s)
-        rest = [v for v in range(g.n) if v not in sset]
+        rest = [v for v in range(g.n) if v not in s]
         if len(rest) < 2:
             continue
-        # components of g - S
-        adj = g.adjacency()
-        seen = set()
-        comps = []
-        for start in rest:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            seen.add(start)
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in sset and y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        stack.append(y)
-            comps.append(comp)
+        # components of g - S, in g's labels
+        comps = [[rest[i] for i in comp] for comp in
+                 connected_components(induced_subgraph(g, rest)[0])]
         if len(comps) < 2:
             continue
         for r in range(1, len(comps)):
             for group in itertools.combinations(range(len(comps)), r):
-                chosen = set()
-                for gi in group:
-                    chosen |= comps[gi]
+                chosen = {v for gi in group for v in comps[gi]}
                 side = {}
                 for (a, b), m in g.mult.items():
                     if a in chosen or b in chosen:

@@ -162,6 +162,25 @@ def test_cache_drops_values_that_do_not_parse_for_their_task(tmp_path):
     assert cells["c2@3"] == "2 mod 3"
 
 
+def test_compute_and_cache_share_one_task_grammar(tmp_path):
+    # a task spelling the cache would drop on load is not computed either,
+    # so it is never recomputed on every run nor compacted on every load
+    graphs = tmp_path / "graphs.txt"
+    graphs.write_text(_graph_line("octa", octahedron()))
+    path = tmp_path / "cache.tsv"
+    for run in ("first", "second"):
+        out = tmp_path / ("%s.tsv" % run)
+        main(["compute", "--input", str(graphs), "--tasks", "M,M01,c2@03",
+              "--cache", str(path), "--out", str(out)])
+        header, row = out.read_text().splitlines()
+        cells = dict(zip(header.split("\t"), row.split("\t")))
+        assert cells["M"] == "14"
+        assert cells["M01"] == "error: unknown task 'M01'"
+        assert cells["c2@03"] == "error: unknown task 'c2@03'"
+    key = canonical_form(octahedron()).hex()
+    assert path.read_text() == "%s\tM\t14\n" % key
+
+
 def test_cache_in_memory_without_path():
     cache = InvariantCache()
     cache.put("k", "M", "1")

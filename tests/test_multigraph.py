@@ -12,14 +12,14 @@ from martinpoly.multigraph import (
     canonical_form,
     delete_vertex,
     duplicate,
-    enumerate_transition_matrices,
     from_edges,
     half_edges_at,
+    induced_subgraph,
     is_isomorphic,
     planar_dual,
     relabel,
     trace_faces,
-    transition_classes_with_loops,
+    transition_classes,
 )
 from martinpoly.families import (
     circulant,
@@ -144,6 +144,13 @@ def test_relabel_roundtrip():
     assert relabel(h, inv).key() == g.key()
 
 
+def test_relabel_rejects_a_non_permutation():
+    g = from_edges(4, [(0, 2), (1, 3)])
+    for perm in ([0, 0, 1, 1], [0, 1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            relabel(g, perm)
+
+
 def test_duplicate_multiplies_every_edge():
     g = k3_113()
     h = duplicate(g, 3)
@@ -161,7 +168,8 @@ def test_duplicate_composition():
 
 def test_delete_vertex_mapping():
     g = k3_113()
-    h, mapping = delete_vertex(g, 2, return_map=True)
+    h, mapping = induced_subgraph(g, [0, 1])
+    assert h == delete_vertex(g, 2)
     assert h.n == 2
     assert mapping == {0: 0, 1: 1}
     assert h.edge_count() == 3  # the triple edge survives, loop at 2 is gone
@@ -192,7 +200,8 @@ def _matchings(items):
 
 
 def _check_transition_mass(g, v):
-    """Cross-check the transition enumeration against raw half-edge matchings."""
+    """Cross-check the coefficient of every transition class (D, L) against
+    raw half-edge matchings."""
     adj = g.neighbors(v)
     halves = []
     for w in sorted(adj):
@@ -204,27 +213,35 @@ def _check_transition_mass(g, v):
     total = 0
     loop_free = 0
     by_matrix = {}
+    by_class = {}
     for m in _matchings(list(range(d))):
         total += 1
         pairs = [(halves[a], halves[b]) for a, b in m]
-        if any(x == y for x, y in pairs):
-            continue  # pairing two strands to the same neighbor makes a loop
-        loop_free += 1
         D = [[0] * len(nbrs) for _ in nbrs]
+        L = [0] * len(nbrs)
         for x, y in pairs:
-            D[pos[x]][pos[y]] += 1
-            D[pos[y]][pos[x]] += 1
+            if x == y:
+                L[pos[x]] += 1  # two strands to one neighbor make a loop
+            else:
+                D[pos[x]][pos[y]] += 1
+                D[pos[y]][pos[x]] += 1
         key = tuple(tuple(row) for row in D)
+        by_class[(key, tuple(L))] = by_class.get((key, tuple(L)), 0) + 1
+        if any(L):
+            continue
+        loop_free += 1
         by_matrix[key] = by_matrix.get(key, 0) + 1
 
     assert total == _double_factorial(d - 1)
 
-    enum = enumerate_transition_matrices(g, v)
+    classes = transition_classes(g, v)
+    enum = [(D, c) for D, L, c in classes if not any(L)]
     assert sum(c for _, c in enum) == loop_free
-    assert {tm.D: c for tm, c in enum} == by_matrix
+    assert dict(enum) == by_matrix
 
-    with_loops = transition_classes_with_loops(g, v)
-    assert sum(entry[-1] for entry in with_loops) == total
+    assert len(classes) == len(by_class)
+    assert {(D, L): c for D, L, c in classes} == by_class
+    assert sum(c for _, _, c in classes) == total
 
 
 def test_transition_mass_degree_four():
@@ -243,13 +260,13 @@ def test_transition_mass_degree_six_and_eight():
 
 def test_transition_rejects_bad_pivots():
     with pytest.raises(ValueError):
-        enumerate_transition_matrices(dunce_cap(), 0)  # odd degree
+        transition_classes(dunce_cap(), 0)  # odd degree
     with pytest.raises(ValueError):
-        enumerate_transition_matrices(k3_113(), 2)  # loop at the pivot
+        transition_classes(k3_113(), 2)  # loop at the pivot
 
 
 def test_transition_single_neighbor_has_no_loop_free_pairing():
-    assert enumerate_transition_matrices(dipole(4), 0) == []
+    assert [c for c in transition_classes(dipole(4), 0) if not any(c[1])] == []
 
 
 def test_apply_transition_preserves_surviving_degrees():
@@ -260,9 +277,11 @@ def test_apply_transition_preserves_surviving_degrees():
     ):
         before = g.degrees()
         expect = [before[u] for u in range(g.n) if u != v]
-        for tm, coeff in enumerate_transition_matrices(g, v):
+        for D, L, coeff in transition_classes(g, v):
+            if any(L):
+                continue
             assert coeff > 0
-            h = apply_transition(g, v, tm)
+            h = apply_transition(g, v, D)
             assert h.n == g.n - 1
             assert h.degrees() == expect
 

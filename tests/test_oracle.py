@@ -21,8 +21,9 @@ from martinpoly.multigraph import (
     apply_transition,
     delete_vertex,
     duplicate,
-    enumerate_transition_matrices,
     from_edges,
+    induced_subgraph,
+    transition_classes,
 )
 from martinpoly.oracle import (
     BudgetExceeded,
@@ -175,9 +176,8 @@ def test_marked_partitions_reject_bad_input():
 
 
 def _marked_decompletion(g, v, w, marks, r):
-    h, m1 = delete_vertex(g, max(v, w), return_map=True)
-    h, m2 = delete_vertex(h, m1[min(v, w)], return_map=True)
-    a, b, c = (m2[m1[x]] for x in marks)
+    h, lab = induced_subgraph(g, [u for u in range(g.n) if u not in (v, w)])
+    a, b, c = (lab[x] for x in marks)
     return count_tree_forest_partitions(MarkedGraph(h, (a, b), c), r)
 
 
@@ -219,8 +219,10 @@ def test_marked_partition_martin_recurrence():
         assert lhs > 0
         sh = lambda x: x if x < u else x - 1
         total = 0
-        for tm, coeff in enumerate_transition_matrices(g, u):
-            gd = apply_transition(g, u, tm)
+        for D, L, coeff in transition_classes(g, u):
+            if any(L):
+                continue
+            gd = apply_transition(g, u, D)
             total += coeff * _marked_decompletion(
                 gd, sh(v), sh(w), [sh(x) for x in marks], r
             )
