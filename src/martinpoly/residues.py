@@ -9,7 +9,8 @@ from collections import namedtuple
 from math import comb, factorial
 
 from .martin import martin_invariant
-from .multigraph import duplicate, induced_subgraph, is_connected
+from .multigraph import (Multigraph, canonical_form, duplicate,
+                         induced_subgraph, is_connected)
 from .oracle import BudgetExceeded, MarkedGraph, count_tree_forest_partitions
 
 ResidueReport = namedtuple("ResidueReport", ["modulus", "residue", "provenance"])
@@ -239,10 +240,16 @@ def point_count(g, p, budget=4 * 10 ** 6):
         edges enters only through its weight sum s, taken by
         c_k(s) = #{w in (F_p^*)^k : sum w = s} weightings.
 
-    Forests with the same contraction are gathered first, and the count for
-    each contracted graph, keyed by the labelled graph and never by its
-    canonical form, is memoized for the call.  The eliminations this takes
-    stay well under the p^m points of a sweep; the budget still bounds p^m.
+    Forests with the same contraction are gathered first.  The count for
+    each contracted graph is an isomorphism invariant (the reduced
+    Laplacian's determinant is the weighted spanning-tree sum, whichever
+    vertex is dropped), so it is memoized across calls in _STRATUM_MEMO,
+    keyed by (canonical form of the contracted multigraph, p); a dict keyed
+    by the labelled graph sits in front of it for the call, so a labelled
+    repeat costs no canonical form.  Related graphs, such as the
+    decompletions of one completed graph, share most of their strata.  The
+    eliminations this takes stay well under the p^m points of a sweep; the
+    budget still bounds p^m.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -265,6 +272,23 @@ def _bundle_weights(k, p):
     zero = ((p - 1) ** k + (-1) ** k * (p - 1)) // p
     other = ((p - 1) ** k - (-1) ** k) // p
     return [zero] + [other] * (p - 1)
+
+
+# (canonical form of a contracted stratum graph, p) -> its nonsingular
+# weightings; kept for the life of the process, like martin._INVARIANT_MEMO
+_STRATUM_MEMO = {}
+
+
+def _stratum_count(nc, bundles, p):
+    """_nonsingular_weightings of the loop-free multigraph on nc vertices
+    with the given bundles, memoized by isomorphism class and p."""
+    if nc == 1:
+        return 1
+    key = (canonical_form(Multigraph(nc, dict(bundles))), p)
+    got = _STRATUM_MEMO.get(key)
+    if got is None:
+        got = _STRATUM_MEMO[key] = _nonsingular_weightings(nc, bundles, p)
+    return got
 
 
 def _nonvanishing(n, mult, p):
@@ -299,16 +323,16 @@ def _nonvanishing(n, mult, p):
                 bundles[e] = bundles.get(e, 0) + k
         key = (len(index), tuple(sorted(bundles.items())))
         if key not in memo:
-            memo[key] = _nonsingular_weightings(key[0], key[1], p)
+            memo[key] = _stratum_count(key[0], key[1], p)
         loops = m - (n - len(index)) - sum(bundles.values())
         total += ways * (p - 1) ** loops * memo[key]
     return total
 
 
 def _nonsingular_weightings(nc, bundles, p):
-    """Weightings of the edges of the connected loop-free multigraph on nc
-    vertices by F_p^* whose reduced Laplacian (last vertex dropped) is
-    nonsingular mod p.  bundles lists ((a, b), k) with a < b.
+    """Weightings of the edges of the connected loop-free multigraph on
+    nc >= 2 vertices by F_p^* whose reduced Laplacian (last vertex dropped)
+    is nonsingular mod p.  bundles lists ((a, b), k) with a < b.
 
     One bundle (a, nc-1) at the dropped vertex adds its weight sum s to the
     diagonal entry of a alone, and the determinant is affine in that entry:
@@ -316,8 +340,6 @@ def _nonsingular_weightings(nc, bundles, p):
     complement of the entry at s = 0.  One elimination per weighting of the
     other bundles therefore settles every value of s; when D1 = 0 the
     determinant does not depend on s, and a second one gives it."""
-    if nc == 1:
-        return 1
     size = nc - 1
     last = max((i for i, ((_, b), _) in enumerate(bundles) if b == size),
                key=lambda i: bundles[i][1])

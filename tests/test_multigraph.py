@@ -1,5 +1,6 @@
 """Graph value semantics, vertex transitions, canonical labeling, planar duals."""
 
+import hashlib
 import itertools
 import random
 
@@ -30,6 +31,7 @@ from martinpoly.families import (
     rose,
     wheel,
 )
+from martinpoly.martin import martin_polynomial
 
 from conftest import (
     complement_c3_c4,
@@ -115,6 +117,52 @@ def test_generated_classes_are_pairwise_distinct():
         g, h = rng.sample(pool, 2)
         assert not _brute_isomorphic(g, h)
         assert not is_isomorphic(g, h)
+
+
+# (n, degree, loops), class count, sha256 of the sorted per-class Martin
+# polynomials (one line of space-separated coefficients per class, joined by
+# newlines).  Pinned from the backtracking generator; a replacement generator
+# or canonical form must reproduce them, and none depends on the key bytes.
+_GENERATOR_PINS = [
+    ((1, 4, True), 1,
+     "5cc3a6551605a0b4e9c3334f5eb5554c404973daf0b1a58655fa29c0ba3d47b0"),
+    ((2, 4, True), 3,
+     "02dc0ad1b01b307439e9cff4d350cd2d060b98b353f013c9ec74a09bcc540680"),
+    ((3, 4, True), 7,
+     "67c8e98b32bb1cb4aca2d3263b0f82cc124f13b730ff33e4ae88c0af9c3513be"),
+    ((4, 4, True), 20,
+     "99de68a37b2cbd2da2c81da06e93922a3ed428af8910139d834f79fe00b8e843"),
+    ((5, 4, True), 56,
+     "e6365deecc8ad48711002dcfd5743bf0a7640fecfd1f83e96cd0729985da694d"),
+    ((6, 4, True), 187,
+     "40444a4c975e32aafc9e91060ff84be3f4a75e339c14ad4fecf5a937d84c79dc"),
+    ((7, 4, True), 654,
+     "f1f1b1b4b3130be29f55dd21ed31f253638232514f23fa325ca086e885f9810b"),
+    ((1, 6, True), 1,
+     "e232686fc6eddd454104e1ff5a12b8207a9267a63e3fb3403170f044e7b79fa6"),
+    ((2, 6, True), 4,
+     "3abc14763ac26327f0591680f712d5a0ae134943f5cadbb19cce84bc3be27f24"),
+    ((3, 6, True), 13,
+     "6df33f8fed73681046367f02f1a89b00f5f12c31c5ca7bd5d067e3c42fcfa5ab"),
+    ((4, 6, True), 66,
+     "439a58f5363b107a362a648765d7b377636e80e5606ce3e888189751870ae131"),
+    ((5, 6, True), 384,
+     "b3a268e8c4430b02e15f782d71bf558965a22ebc5df3178c7049c645a37843b9"),
+    ((6, 6, False), 128,
+     "da59e54c7d63e0c1998a001b170d0f814a533e1e36e36d5aa513f1630d791f0d"),
+]
+
+
+@pytest.mark.parametrize(
+    "case, classes, digest", _GENERATOR_PINS,
+    ids=["n%d-d%d-%s" % (n, d, "loops" if loops else "loopless")
+         for (n, d, loops), _, _ in _GENERATOR_PINS])
+def test_generator_output_is_pinned(case, classes, digest):
+    pool = generated(*case)
+    assert len(pool) == classes
+    assert len({canonical_form(g) for g in pool}) == classes
+    lines = sorted(" ".join(map(str, martin_polynomial(g))) for g in pool)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 def test_known_isomorphic_pairs():

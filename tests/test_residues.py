@@ -21,6 +21,7 @@ from martinpoly.multigraph import (
     delete_vertex,
     duplicate,
     from_edges,
+    relabel,
 )
 from martinpoly.oracle import (
     BudgetExceeded,
@@ -28,6 +29,7 @@ from martinpoly.oracle import (
     ryser_permanent,
 )
 from martinpoly.residues import (
+    _STRATUM_MEMO,
     _ryser_permanent,
     c2,
     c2_from_martin,
@@ -228,6 +230,54 @@ def test_point_count_matches_sweep_on_random_multigraphs():
         for p in (2, 3, 5):
             if p ** g.edge_count() <= 10 ** 5:
                 assert point_count(g, p) == point_count_sweep(g, p), (g, p)
+
+
+def test_stratum_memo_is_relabelling_invariant():
+    # counts computed cold, then read back through the memo for random
+    # relabellings, whose strata are the cold strata relabelled
+    rng = random.Random(6)
+    graphs = [dunce_cap(), k3_113(), k4_112(), complete_graph(4), wheel(4),
+              delete_vertex(octahedron(), 0),
+              from_edges(5, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                             (1, 3), (2, 2)])]
+    for g in graphs:
+        for p in (2, 3, 5):
+            if p ** g.edge_count() > 10 ** 5:
+                continue
+            _STRATUM_MEMO.clear()
+            cold = point_count(g, p)
+            assert cold == point_count_sweep(g, p), (g, p)
+            entries = len(_STRATUM_MEMO)
+            for _ in range(4):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                assert point_count(relabel(g, perm), p) == cold, (g, p, perm)
+            assert len(_STRATUM_MEMO) == entries
+
+
+def test_stratum_memo_key_includes_p():
+    g = delete_vertex(octahedron(), 0)
+    _STRATUM_MEMO.clear()
+    point_count(g, 2)
+    at_two = set(_STRATUM_MEMO)
+    point_count(g, 3)
+    at_three = set(_STRATUM_MEMO) - at_two
+    assert at_two and {p for _, p in at_two} == {2}
+    assert {p for _, p in at_three} == {3}
+    assert {key for key, _ in at_three} == {key for key, _ in at_two}
+
+
+def test_stratum_memo_shared_by_decompletions():
+    # C7(1,2) is vertex-transitive: after one decompletion is counted, the
+    # other six are isomorphic to it and every stratum is a memo hit
+    g = circulant(7, (1, 2))
+    _STRATUM_MEMO.clear()
+    first = point_count(delete_vertex(g, 0), 3)
+    entries = len(_STRATUM_MEMO)
+    assert entries > 0
+    for u in range(1, 7):
+        assert point_count(delete_vertex(g, u), 3) == first
+    assert len(_STRATUM_MEMO) == entries
 
 
 def test_point_count_validation():
