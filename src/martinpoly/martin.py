@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial
 
 from . import polynomial as poly
@@ -49,18 +50,31 @@ def _class_count(profile, with_loops):
 
 
 def _pick_pivot(g, policy, with_loops):
+    """The loop-free vertex with the fewest transition classes.  For the
+    invariant (with_loops unset), ties go to the vertex with the most
+    adjacent neighbour pairs, i.e. the most triangles through it: its
+    transitions add edges to pairs that already have some, so the children
+    carry more k-bundles and small cuts, which the invariant recursion
+    settles without expanding.  The polynomial recursion has no such
+    shortcut and keeps the lowest label; so do the remaining ties."""
     if policy == "first":
         return 0
     if policy != "fewest-classes":
         raise ValueError("unknown pivot policy %r" % (policy,))
-    best, best_score = None, None
+    adj = g.adjacency()
+    best, best_rank = None, None
     for v in range(g.n):
         if g.loops.get(v, 0):
             continue
-        profile = tuple(sorted(g.neighbors(v).values()))
-        score = _class_count(profile, with_loops)
-        if best_score is None or score < best_score:
-            best, best_score = v, score
+        nbrs = adj[v]
+        score = _class_count(tuple(sorted(nbrs.values())), with_loops)
+        if best_rank is not None and score > best_rank[0]:
+            continue
+        triangles = 0 if with_loops else sum(
+            1 for a, b in combinations(nbrs, 2) if b in adj[a])
+        rank = (score, -triangles)
+        if best_rank is None or rank < best_rank:
+            best, best_rank = v, rank
     return best
 
 
@@ -159,9 +173,36 @@ def _k4_closed_form(g, k):
 
 
 def _minv(g, k, policy, memo):
-    """Invariant of a loop-free 2k-regular graph with >= 3 vertices."""
+    """Invariant of a loop-free 2k-regular graph with >= 3 vertices.
+
+    M vanishes when some proper cut has fewer than 2k edges, and factors as
+    k! M(g1) M(g2) across a nontrivial 2k-cut S (split_edge_cut: g1 keeps S
+    and contracts the rest, g2 the other way round).  Two of the steps below
+    use a 2k-cut without first ruling out a smaller cut elsewhere: the
+    k-bundle pass, before any canonical form, and the cut scan, which stops
+    at the first defect or nontrivial 2k-cut.  That is sound because a cut
+    T with d(T) < 2k makes a factor vanish as well.  If T does not cross S,
+    then T or its complement lies inside S or inside the rest, and is a cut
+    of the same size in g1 or g2.  If T crosses S (all four corners S & T,
+    S - T, T - S and the rest nonempty), submodularity gives
+    d(S & T) + d(S | T) <= d(S) + d(T) < 4k, so d(S & T) < 2k, a proper cut
+    of g1 avoiding its contracted vertex, or d(S | T) < 2k, a proper cut of
+    g2 containing its contracted vertex.  Either way the product is 0, as M
+    of g is."""
     if g.n == 3:
         return 1
+    # k-bundles: a pair {u, v} joined by m edges has a cut of 4k - 2m
+    bundle = None
+    for e, m in g.mult.items():
+        if m > k:
+            return 0
+        if m == k and bundle is None:
+            bundle = e
+    if bundle is not None:
+        # g1 is the triangle on the bundle's ends and the contracted rest,
+        # with M = 1
+        g2 = split_edge_cut(g, EdgeCut(bundle, 2 * k))[1]
+        return factorial(k) * _minv(g2, k, policy, memo)
     key = canonical_form(g)
     got = memo.get(key)
     if got is not None:
@@ -173,16 +214,16 @@ def _minv(g, k, policy, memo):
         result = _k4_closed_form(g, k)
         memo[key] = result
         return result
-    # one scan: connectivity defect and a nontrivial minimum cut, if any
+    # one scan: first defect or first nontrivial 2k-cut
     shortcut_side = None
     if g.n <= EXHAUSTIVE_CUT_LIMIT:
         for side, size, count in _all_cuts(g):
             if size < 2 * k:
                 memo[key] = 0
                 return 0
-            if size == 2 * k and shortcut_side is None \
-                    and 2 <= count <= g.n - 2:
+            if size == 2 * k and 2 <= count <= g.n - 2:
                 shortcut_side = side
+                break
     else:
         if edge_connectivity(g) < 2 * k:
             memo[key] = 0

@@ -250,6 +250,13 @@ def point_count(g, p, budget=4 * 10 ** 6):
     decompletions of one completed graph, share most of their strata.  The
     eliminations this takes stay well under the p^m points of a sweep; the
     budget still bounds p^m.
+
+    The whole sum over the loop-free part is an isomorphism invariant too,
+    and is memoized in _NONVANISHING_MEMO under (canonical form of that
+    part, p), so an isomorphic input, such as another decompletion of a
+    vertex-transitive completion, costs one canonical form.  The lookup
+    comes after the argument, budget and connectivity checks, so a call
+    over budget raises even when its class is memoized.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -262,7 +269,11 @@ def point_count(g, p, budget=4 * 10 ** 6):
     if not is_connected(g):
         return p ** m  # no spanning trees: Psi is identically zero
     n_loops = sum(g.loops.values())
-    return p ** m - (p - 1) ** n_loops * _nonvanishing(g.n, g.mult, p)
+    key = (canonical_form(Multigraph(g.n, g.mult)), p)
+    nonvanishing = _NONVANISHING_MEMO.get(key)
+    if nonvanishing is None:
+        nonvanishing = _NONVANISHING_MEMO[key] = _nonvanishing(g.n, g.mult, p)
+    return p ** m - (p - 1) ** n_loops * nonvanishing
 
 
 def _bundle_weights(k, p):
@@ -275,8 +286,11 @@ def _bundle_weights(k, p):
 
 
 # (canonical form of a contracted stratum graph, p) -> its nonsingular
-# weightings; kept for the life of the process, like martin._INVARIANT_MEMO
+# weightings, and (canonical form of a point-counted graph's loop-free part,
+# p) -> its _nonvanishing count; kept for the life of the process, like
+# martin._INVARIANT_MEMO
 _STRATUM_MEMO = {}
+_NONVANISHING_MEMO = {}
 
 
 def _stratum_count(nc, bundles, p):

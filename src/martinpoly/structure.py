@@ -5,9 +5,10 @@ splitting with completion, and the 4-cut twist.
 Every cut question on at most EXHAUSTIVE_CUT_LIMIT vertices is answered by
 one exhaustive scan, `_all_cuts`, which walks the proper bipartitions in
 Gray-code order and updates the cut size incrementally.  Above the limit
-only the minimum cut value is available (Stoer-Wagner): the recursion's
-cut-product shortcut never fires there, and `nontrivial_cuts` and
-`is_cyclically_connected` raise."""
+only the minimum cut value is available (Stoer-Wagner): there the
+recursion's cut-product shortcut fires only at k-bundles, which it finds
+without a scan, and `nontrivial_cuts` and `is_cyclically_connected`
+raise."""
 
 from __future__ import annotations
 

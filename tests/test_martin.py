@@ -29,6 +29,7 @@ from martinpoly.multigraph import (
     apply_transition,
     duplicate,
     from_edges,
+    relabel,
     transition_classes,
 )
 from martinpoly.polynomial import evaluate
@@ -134,6 +135,18 @@ def test_martin_sequence():
         martin_sequence(complete_graph(5), 0)
 
 
+def test_pinned_sequence_of_a_random_12_vertex_graph():
+    # networkx.random_regular_graph(4, 12, seed=12); the values are those of
+    # the recursion before k-bundles were split off ahead of the canonical
+    # form, which took about 20 s for M(G^[3])
+    g = from_edges(12, [
+        (0, 3), (0, 5), (0, 7), (0, 10), (1, 4), (1, 8), (1, 9), (1, 10),
+        (2, 3), (2, 6), (2, 7), (2, 8), (3, 4), (3, 9), (4, 7), (4, 10),
+        (5, 6), (5, 8), (5, 11), (6, 8), (6, 9), (7, 11), (9, 11), (10, 11)])
+    assert martin_sequence(g, 3) == [
+        4280, 1924469536849920, 7860907058744035326321380818944]
+
+
 # ----------------------------------------------------------- recursion behavior
 
 
@@ -146,21 +159,42 @@ def test_pivot_policy_independence():
         assert martin_invariant(g, "first") == martin_invariant(g)
 
 
+def _bundle_across_a_weak_cut():
+    """Two copies of K5 less the edges uc and ud, with cd doubled, joined by
+    a double edge between the two u's: 4-regular on 10 vertices.  The
+    double edges are 2-bundles, and the bundle {u, u'} crosses the 2-edge
+    cut between the copies, so M is 0."""
+    def block(u, a, b, c, d):
+        return [(u, a), (u, b), (a, b), (a, c), (a, d), (b, c), (b, d),
+                (c, d), (c, d)]
+    return from_edges(10, block(0, 1, 2, 3, 4) + block(5, 6, 7, 8, 9)
+                      + [(0, 5), (0, 5)])
+
+
 def test_derivative_consistency():
-    # the normalized polynomial derivative reproduces the direct invariant
+    # the normalized polynomial derivative, a route with no cut or bundle
+    # shortcuts, reproduces the reduced invariant recursion under both pivot
+    # policies
     from martinpoly.oracle import invariant_from_polynomial
 
-    for n in (3, 4, 5, 6):
-        for g in generated(n):
-            assert invariant_from_polynomial(martin_polynomial(g), g) == \
-                martin_invariant(g)
-    for n in (3, 4, 5):
-        for g in generated(n, degree=6):
-            assert invariant_from_polynomial(martin_polynomial(g), g) == \
-                martin_invariant(g)
-    for g in generated(6, degree=6, loops=False):
-        assert invariant_from_polynomial(martin_polynomial(g), g) == \
-            martin_invariant(g)
+    pool = [g for n in (3, 4, 5, 6) for g in generated(n)]
+    pool += [g for n in (3, 4, 5) for g in generated(n, degree=6)]
+    pool += generated(6, degree=6, loops=False)
+    pool += [duplicate(g, 2) for n in (3, 4, 5) for g in generated(n)
+             if not g.loops]
+    pool += [eight_regular_six_vertex(*m)
+             for m in ((0, 2, 2), (1, 1, 2), (0, 1, 3))]
+    weak = _bundle_across_a_weak_cut()
+    assert edge_connectivity(weak) == 2 and max(weak.mult.values()) == 2
+    rng = random.Random(7)
+    for _ in range(6):
+        perm = list(range(weak.n))
+        rng.shuffle(perm)
+        pool.append(relabel(weak, perm))
+    for g in pool:
+        expected = invariant_from_polynomial(martin_polynomial(g), g)
+        assert martin_invariant(g) == expected, g
+        assert martin_invariant(g, "first") == expected, g
 
 
 def test_polynomial_divisibility_by_shifted_factors():

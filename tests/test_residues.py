@@ -29,6 +29,7 @@ from martinpoly.oracle import (
     ryser_permanent,
 )
 from martinpoly.residues import (
+    _NONVANISHING_MEMO,
     _STRATUM_MEMO,
     _ryser_permanent,
     c2,
@@ -232,9 +233,15 @@ def test_point_count_matches_sweep_on_random_multigraphs():
                 assert point_count(g, p) == point_count_sweep(g, p), (g, p)
 
 
+def _clear_point_count_memos():
+    _STRATUM_MEMO.clear()
+    _NONVANISHING_MEMO.clear()
+
+
 def test_stratum_memo_is_relabelling_invariant():
-    # counts computed cold, then read back through the memo for random
-    # relabellings, whose strata are the cold strata relabelled
+    # counts computed cold, then read back for random relabellings: first
+    # whole from the count memo, then, with that cleared, stratum by stratum,
+    # as the relabellings' strata are the cold strata relabelled
     rng = random.Random(6)
     graphs = [dunce_cap(), k3_113(), k4_112(), complete_graph(4), wheel(4),
               delete_vertex(octahedron(), 0),
@@ -244,20 +251,24 @@ def test_stratum_memo_is_relabelling_invariant():
         for p in (2, 3, 5):
             if p ** g.edge_count() > 10 ** 5:
                 continue
-            _STRATUM_MEMO.clear()
+            _clear_point_count_memos()
             cold = point_count(g, p)
             assert cold == point_count_sweep(g, p), (g, p)
             entries = len(_STRATUM_MEMO)
             for _ in range(4):
                 perm = list(range(g.n))
                 rng.shuffle(perm)
-                assert point_count(relabel(g, perm), p) == cold, (g, p, perm)
+                h = relabel(g, perm)
+                assert point_count(h, p) == cold, (g, p, perm)
+                assert len(_NONVANISHING_MEMO) == 1
+                _NONVANISHING_MEMO.clear()
+                assert point_count(h, p) == cold, (g, p, perm)
             assert len(_STRATUM_MEMO) == entries
 
 
 def test_stratum_memo_key_includes_p():
     g = delete_vertex(octahedron(), 0)
-    _STRATUM_MEMO.clear()
+    _clear_point_count_memos()
     point_count(g, 2)
     at_two = set(_STRATUM_MEMO)
     point_count(g, 3)
@@ -269,15 +280,15 @@ def test_stratum_memo_key_includes_p():
 
 def test_stratum_memo_shared_by_decompletions():
     # C7(1,2) is vertex-transitive: after one decompletion is counted, the
-    # other six are isomorphic to it and every stratum is a memo hit
+    # other six are isomorphic to it, and each is one hit of the count memo
     g = circulant(7, (1, 2))
-    _STRATUM_MEMO.clear()
+    _clear_point_count_memos()
     first = point_count(delete_vertex(g, 0), 3)
     entries = len(_STRATUM_MEMO)
-    assert entries > 0
+    assert entries > 0 and len(_NONVANISHING_MEMO) == 1
     for u in range(1, 7):
         assert point_count(delete_vertex(g, u), 3) == first
-    assert len(_STRATUM_MEMO) == entries
+    assert len(_STRATUM_MEMO) == entries and len(_NONVANISHING_MEMO) == 1
 
 
 def test_point_count_validation():
@@ -287,6 +298,10 @@ def test_point_count_validation():
         point_count(dipole(4), 2)  # fewer than 3 vertices
     with pytest.raises(BudgetExceeded):
         point_count(complete_graph(4), 2, budget=10)
+    # the budget holds even for a class the count memo already knows
+    point_count(complete_graph(4), 2)
+    with pytest.raises(BudgetExceeded):
+        point_count(relabel(complete_graph(4), [3, 1, 0, 2]), 2, budget=10)
 
 
 # -------------------------------------------------------------------------- c2
