@@ -361,13 +361,23 @@ def main(argv=None):
         failures = _SUITES[args.suite](args.max_vertices)
         return 1 if failures else 0
 
+    error = (p_compute if args.verb == "compute" else p_report).error
     tasks = [t for t in args.tasks.split(",") if t]
-    if args.rmax:
+    if args.rmax is not None:
+        if args.rmax < 1:
+            error("--rmax must be at least 1, not %d" % args.rmax)
         for r in range(2, args.rmax + 1):
             tasks.append("M%d" % r)
-    if args.primes:
-        tasks.extend("c2@%d" % int(p) for p in args.primes.split(","))
-    records = parse_graph_file(args.input)
+    for p in args.primes.split(","):
+        if not p:
+            continue
+        if not re.fullmatch(r"[0-9]+", p) or int(p) < 1:
+            error("--primes: %r is not a positive integer" % p)
+        tasks.append("c2@%d" % int(p))
+    try:
+        records = parse_graph_file(args.input)
+    except (OSError, ValueError) as exc:
+        error("--input: %s" % exc)
     cache = InvariantCache(args.cache)
     computed = compute_batch(records, tasks, cache)
     out = open(args.out, "w") if args.out else sys.stdout

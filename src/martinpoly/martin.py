@@ -23,6 +23,10 @@ from .structure import EXHAUSTIVE_CUT_LIMIT, EdgeCut, _all_cuts, _vertices, \
 
 _INVARIANT_MEMO = {}
 _POLY_MEMO = {}
+# labelled graph (Multigraph.key) -> canonical_form; the recursions reach the
+# same labelled node again when they remove one vertex set in another order,
+# and when M and the polynomial run on one graph
+_FRONT = {}
 
 
 def _normalize(x):
@@ -78,6 +82,15 @@ def _pick_pivot(g, policy, with_loops):
     return best
 
 
+def _memo_key(g):
+    """canonical_form(g), through _FRONT."""
+    label = g.key()
+    key = _FRONT.get(label)
+    if key is None:
+        key = _FRONT[label] = canonical_form(g)
+    return key
+
+
 # -- Martin polynomial ---------------------------------------------------
 
 
@@ -90,11 +103,28 @@ def _rose_polynomial(k):
 
 
 def _mpoly(g, policy, memo):
-    key = canonical_form(g)
-    got = memo.get(key)
-    if got is not None:
-        return got
     comps = connected_components(g)
+    factor = None
+    if g.loops and g.n > 1 and len(comps) == 1:
+        # strip self-loops before keying, so that every placement of loops
+        # on one loop-free graph shares its memo entry: one factor
+        # (x + d - 4) per loop, d the current degree
+        factor = (1,)
+        degs = g.degrees()
+        for v, c in g.loops.items():
+            for t in range(c):
+                factor = poly.mul(factor, (degs[v] - 4 - 2 * t, 1))
+        g = Multigraph(g.n, g.mult, {})
+    key = _memo_key(g)
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = _expand_polynomial(g, comps, policy, memo)
+    return result if factor is None else poly.mul(factor, result)
+
+
+def _expand_polynomial(g, comps, policy, memo):
+    """m of g, which is disconnected (with components comps), a rose, or
+    connected and loop-free."""
     if len(comps) > 1:
         result = (1,)
         for comp in comps:
@@ -102,33 +132,17 @@ def _mpoly(g, policy, memo):
                                              policy, memo))
         for _ in range(len(comps) - 1):
             result = poly.mul(result, (-2, 1))
-        memo[key] = result
         return result
     if g.n == 1:
         k = g.loops.get(0, 0)
         if k == 0:
             raise ValueError("edgeless component has no Martin polynomial")
-        result = _rose_polynomial(k)
-        memo[key] = result
-        return result
-    if g.loops:
-        # strip self-loops: one factor (x + d - 4) per loop, d the current degree
-        factor = (1,)
-        degs = g.degrees()
-        for v, c in g.loops.items():
-            d = degs[v]
-            for t in range(c):
-                factor = poly.mul(factor, (d - 4 - 2 * t, 1))
-        stripped = Multigraph(g.n, g.mult, {})
-        result = poly.mul(factor, _mpoly(stripped, policy, memo))
-        memo[key] = result
-        return result
+        return _rose_polynomial(k)
     pivot = _pick_pivot(g, policy, with_loops=True)
     result = ()
     for D, L, coeff in transition_classes(g, pivot):
         child = apply_transition(g, pivot, D, L)
         result = poly.add(result, poly.scale(_mpoly(child, policy, memo), coeff))
-    memo[key] = result
     return result
 
 
@@ -203,17 +217,14 @@ def _minv(g, k, policy, memo):
         # with M = 1
         g2 = split_edge_cut(g, EdgeCut(bundle, 2 * k))[1]
         return factorial(k) * _minv(g2, k, policy, memo)
-    key = canonical_form(g)
+    if len(connected_components(g)) > 1:
+        return 0
+    if g.n == 4:
+        return _k4_closed_form(g, k)
+    key = _memo_key(g)
     got = memo.get(key)
     if got is not None:
         return got
-    if len(connected_components(g)) > 1:
-        memo[key] = 0
-        return 0
-    if g.n == 4:
-        result = _k4_closed_form(g, k)
-        memo[key] = result
-        return result
     # one scan: first defect or first nontrivial 2k-cut
     shortcut_side = None
     if g.n <= EXHAUSTIVE_CUT_LIMIT:

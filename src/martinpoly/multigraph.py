@@ -97,10 +97,24 @@ class Multigraph:
         return out
 
     def key(self):
-        """Hashable identity of the labeled graph (not isomorphism-invariant)."""
+        """Hashable identity of the labeled graph (not isomorphism-invariant):
+        the bytes n, the loop count of every vertex, then the upper triangle
+        of the multiplicity matrix row by row, or a tuple when n or a count
+        exceeds 255."""
         if self._key is None:
-            self._key = (self.n, tuple(sorted(self.mult.items())),
-                         tuple(sorted(self.loops.items())))
+            n = self.n
+            counts = itertools.chain(self.mult.values(), self.loops.values())
+            if n < 256 and max(counts, default=0) < 256:
+                out = bytearray(1 + n + n * (n - 1) // 2)
+                out[0] = n
+                for v, c in self.loops.items():
+                    out[1 + v] = c
+                for (u, v), m in self.mult.items():
+                    out[n + u * (2 * n - u - 1) // 2 + v - u] = m
+                self._key = bytes(out)
+            else:
+                self._key = (n, tuple(sorted(self.mult.items())),
+                             tuple(sorted(self.loops.items())))
         return self._key
 
     def __eq__(self, other):
@@ -168,11 +182,22 @@ def is_connected(g):
 
 
 def duplicate(g, r):
-    """Replace every edge (and loop) by r parallel copies."""
+    """Replace every edge (and loop) by r parallel copies.
+
+    When g's canonical form is known, the copy carries it with every entry
+    after n multiplied by r.  Scaling every multiplicity and loop count by
+    r > 0 keeps the order of the seed partition's (degree, loops) classes
+    and of every refinement signature, so canonical_form walks the same
+    search tree, finds the same automorphisms and picks the same minimum
+    leaf, whose certificate is g's scaled entrywise after n."""
     if r < 1:
         raise ValueError("duplication factor must be >= 1")
-    return Multigraph(g.n, {e: m * r for e, m in g.mult.items()},
-                      {v: c * r for v, c in g.loops.items()})
+    h = Multigraph(g.n, {e: m * r for e, m in g.mult.items()},
+                   {v: c * r for v, c in g.loops.items()})
+    if g._canon is not None:
+        n, *entries = g._canon.split(b",")
+        h._canon = b",".join([n] + [b"%d" % (int(x) * r) for x in entries])
+    return h
 
 
 def induced_subgraph(g, vertices):
@@ -408,11 +433,16 @@ def canonical_form(g):
                 gens.append(tuple(p))
             return
         cell = cells[target]
+        reps, reps_gens = None, 0
         for v in cell:
-            # orbits merge as new generators turn up, so recompute each time;
-            # a non-representative is equivalent to an earlier explored vertex
-            if v not in _orbit_reps(cell, gens, prefix):
-                continue
+            # a non-representative is equivalent to an earlier explored
+            # vertex; orbits merge only when a generator turns up, and with
+            # none every vertex represents itself
+            if gens:
+                if len(gens) != reps_gens:
+                    reps, reps_gens = _orbit_reps(cell, gens, prefix), len(gens)
+                if v not in reps:
+                    continue
             child = [list(c) for c in cells]
             child[target:target + 1] = [[v], [u for u in cell if u != v]]
             child = _refine(adj, child)

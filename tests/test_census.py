@@ -284,6 +284,47 @@ def test_cli_compute_writes_tsv_and_reruns_identically(tmp_path):
     assert cache.exists() and len(cache.read_text().splitlines()) >= 8
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--primes", "x"], "--primes: 'x' is not a positive integer"),
+    (["--primes", "3,-5"], "--primes: '-5' is not a positive integer"),
+    (["--primes", "0"], "--primes: '0' is not a positive integer"),
+    (["--rmax", "-3"], "--rmax must be at least 1, not -3"),
+    (["--rmax", "0"], "--rmax must be at least 1, not 0"),
+    (["--input", "missing.txt"], "--input: [Errno 2] No such file"),
+    (["--input", "bad.txt"], "bad.txt:1: odd number of endpoints"),
+], ids=["primes-word", "primes-negative", "primes-zero", "rmax-negative",
+        "rmax-zero", "input-missing", "input-malformed"])
+def test_cli_rejects_bad_arguments_with_one_line(tmp_path, monkeypatch,
+                                                 capsys, args, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graphs.txt").write_text(_graph_line("octa", octahedron()))
+    (tmp_path / "bad.txt").write_text("a: 0 1 2\n")
+    for verb in ("compute", "report"):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--input", "graphs.txt"] + args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.strip().splitlines()[-1]
+        assert last.startswith("martinpoly %s: error: " % verb), err
+        assert message in last, err
+
+
+def test_cli_primes_skip_empty_fields(tmp_path):
+    graphs = tmp_path / "graphs.txt"
+    graphs.write_text(_graph_line("octa", octahedron()))
+    outs = []
+    for primes in ("2,,3", ",2,3,"):
+        out = tmp_path / ("out%d.tsv" % len(outs))
+        assert main(["compute", "--input", str(graphs), "--primes", primes,
+                     "--out", str(out)]) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+    header, row = outs[0].splitlines()
+    assert header.split("\t") == ["name", "n", "degree", "M", "c2@2", "c2@3"]
+    assert row.split("\t")[-2:] == ["1 mod 2", "2 mod 3"]
+
+
 def test_cli_report_groups_classes(tmp_path):
     g, s, side, sigma = twist_pair_ten_vertex()
     a, b = g, twist(g, s, side, sigma)

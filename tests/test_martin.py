@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from martinpoly import martin
 from martinpoly.families import (
     circulant,
     complete_graph,
@@ -157,6 +158,52 @@ def test_pivot_policy_independence():
     for g in pool:
         assert martin_polynomial(g, "first") == martin_polynomial(g)
         assert martin_invariant(g, "first") == martin_invariant(g)
+
+
+def _fresh_memos(monkeypatch):
+    for name in ("_FRONT", "_INVARIANT_MEMO", "_POLY_MEMO"):
+        monkeypatch.setattr(martin, name, {})
+
+
+def test_labelled_repeat_computes_no_canonical_form(monkeypatch):
+    # the recursion meets a labelled node again through the front, also
+    # with the memos cold
+    calls = []
+    real = martin.canonical_form
+    monkeypatch.setattr(martin, "canonical_form",
+                        lambda g: calls.append(g) or real(g))
+    perm = [3, 7, 0, 8, 2, 5, 1, 6, 4]
+
+    def run():
+        g = relabel(circulant(9, (1, 2)), perm)
+        return martin_invariant(g), martin_polynomial(g)
+
+    _fresh_memos(monkeypatch)
+    first = run()
+    assert calls
+    for name in ("_INVARIANT_MEMO", "_POLY_MEMO"):
+        monkeypatch.setattr(martin, name, {})
+    calls.clear()
+    assert run() == first
+    assert calls == []
+
+
+def test_front_cold_and_warm_give_the_same_values(monkeypatch):
+    # roses and disconnected graphs reach the polynomial's keys with their
+    # loops, so a front that confused loop counts would show here
+    pool = [g for degree, top in ((4, 5), (6, 4))
+            for n in range(1, top + 1) for g in generated(n, degree=degree)]
+
+    def run(g):
+        return martin_polynomial(g), martin_invariant(g)
+
+    cold = []
+    for g in pool:
+        _fresh_memos(monkeypatch)
+        cold.append(run(g))
+    _fresh_memos(monkeypatch)
+    assert [run(g) for g in pool] == cold
+    assert [run(g) for g in pool] == cold
 
 
 def _bundle_across_a_weak_cut():

@@ -82,6 +82,14 @@ def test_multigraph_is_hashable_value():
     b = from_edges(3, [(0, 2), (0, 1), (1, 2)])
     assert a.key() == b.key()
     assert len({a.key(), b.key()}) == 1
+    # counts and orders above a byte take the tuple form
+    for big in ({(0, 1): 256}, {(0, 299): 1}):
+        n = 1 + max(v for _, v in big)
+        g, h = Multigraph(n, big), Multigraph(n, dict(big))
+        assert g == h and len({g, h}) == 1
+        assert g != Multigraph(n, {e: m + 1 for e, m in big.items()})
+    assert Multigraph(2, {(0, 1): 2}, {0: 256}) != \
+        Multigraph(2, {(0, 1): 2}, {0: 257})
 
 
 # ------------------------------------------------------------ canonical labels
@@ -163,6 +171,48 @@ def test_generator_output_is_pinned(case, classes, digest):
     assert len({canonical_form(g) for g in pool}) == classes
     lines = sorted(" ".join(map(str, martin_polynomial(g))) for g in pool)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+# (degree, n) -> sha256 of the sorted hex canonical_form keys of the loopy
+# classes, joined by newlines.  These pin the key bytes themselves, which the
+# census cache files are keyed by: a change to them must be deliberate and
+# ship a versioned cache header.
+_KEY_PINS = {
+    (4, 1): "d3b9350e5e3bd600581ab6ac66b2c06981899e67bece4f7d1064c8370796d68e",
+    (4, 2): "19519f304bc0e5d9368c7d567c19f7efd1bfdbcd0c050492ec2e31c8161cf991",
+    (4, 3): "ffab0d5cdb1a7679261b98fc1ba25083d1676536e69a0d75bdeaeceadfd67841",
+    (4, 4): "52975789f7d94c23b005c2ceaa3e1c61655c1f9f6d00c3acbb93bec7778052ae",
+    (4, 5): "463dd2e57611545e147eb159e27d9146064d15c7a60e849cb5b6b64d17c90406",
+    (4, 6): "55452c4be43509032c011eb0e53e48e096283ba576bd1d3ccfb7a049f7c62491",
+    (6, 1): "68613b06a98a83428f84085223697d65bf685f3081de813be6c1403a354ffe7e",
+    (6, 2): "9da38a0e5292149d565eb0f99af9b8d30c69ad66a3e108a8e39b7ee7cc81c85b",
+    (6, 3): "a5b0835b4e9b9f9a4c402fe00768d57f79d3d4ff4002c79a311d192ef2e3de4e",
+    (6, 4): "7b37799bdead875551bdfd16ab62bbae7b2cfd4a24e9a8cbf712dc9c9538968a",
+    (6, 5): "5c022c4ffbd990458f775eef87d4728ffc81cb66ab30569bf8ced14d406fe95a",
+}
+
+
+def test_canonical_key_bytes_are_pinned():
+    got = {}
+    for degree, n in _KEY_PINS:
+        keys = sorted(canonical_form(g).hex()
+                      for g in generated(n, degree=degree))
+        got[degree, n] = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+    assert got == _KEY_PINS
+
+
+def test_duplicate_carries_the_canonical_form():
+    rng = random.Random(413)
+    for g in [g for n in range(1, 7) for g in generated(n)]:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        canonical_form(h)
+        for r in (2, 3):
+            carried = duplicate(h, r)
+            assert carried._canon is not None
+            fresh = Multigraph(g.n, carried.mult, carried.loops)
+            assert canonical_form(carried) == canonical_form(fresh), (g, r)
 
 
 def test_known_isomorphic_pairs():
