@@ -18,8 +18,7 @@ from . import polynomial as poly
 from .multigraph import (Multigraph, _classes, apply_transition,
                          canonical_form, connected_components, duplicate,
                          induced_subgraph, transition_classes)
-from .structure import EXHAUSTIVE_CUT_LIMIT, EdgeCut, _all_cuts, _vertices, \
-    edge_connectivity, split_edge_cut
+from .structure import EdgeCut, _all_cuts, _vertices, split_edge_cut
 
 _INVARIANT_MEMO = {}
 _POLY_MEMO = {}
@@ -102,18 +101,27 @@ def _rose_polynomial(k):
     return out
 
 
+@lru_cache(maxsize=None)
+def _loop_factor(looped):
+    """The factor of m that loops contribute, for the sorted (degree, loop
+    count) pairs of the looped vertices: (x + d - 4 - 2t) for the t-th of
+    c loops at a vertex of current degree d."""
+    out = (1,)
+    for d, c in looped:
+        for t in range(c):
+            out = poly.mul(out, (d - 4 - 2 * t, 1))
+    return out
+
+
 def _mpoly(g, policy, memo):
     comps = connected_components(g)
     factor = None
     if g.loops and g.n > 1 and len(comps) == 1:
         # strip self-loops before keying, so that every placement of loops
-        # on one loop-free graph shares its memo entry: one factor
-        # (x + d - 4) per loop, d the current degree
-        factor = (1,)
+        # on one loop-free graph shares its memo entry
         degs = g.degrees()
-        for v, c in g.loops.items():
-            for t in range(c):
-                factor = poly.mul(factor, (degs[v] - 4 - 2 * t, 1))
+        factor = _loop_factor(tuple(sorted((degs[v], c)
+                                           for v, c in g.loops.items())))
         g = Multigraph(g.n, g.mult, {})
     key = _memo_key(g)
     result = memo.get(key)
@@ -225,20 +233,16 @@ def _minv(g, k, policy, memo):
     got = memo.get(key)
     if got is not None:
         return got
-    # one scan: first defect or first nontrivial 2k-cut
+    # one scan of the cuts of size <= 2k: first defect or first nontrivial
+    # 2k-cut
     shortcut_side = None
-    if g.n <= EXHAUSTIVE_CUT_LIMIT:
-        for side, size, count in _all_cuts(g):
-            if size < 2 * k:
-                memo[key] = 0
-                return 0
-            if size == 2 * k and 2 <= count <= g.n - 2:
-                shortcut_side = side
-                break
-    else:
-        if edge_connectivity(g) < 2 * k:
+    for side, size, count in _all_cuts(g, 2 * k):
+        if size < 2 * k:
             memo[key] = 0
             return 0
+        if 2 <= count <= g.n - 2:
+            shortcut_side = side
+            break
     if shortcut_side is not None:
         g1, g2 = split_edge_cut(g, EdgeCut(_vertices(shortcut_side), 2 * k))
         result = factorial(k) * _minv(g1, k, policy, memo) \

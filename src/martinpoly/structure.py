@@ -2,13 +2,10 @@
 cut splitting, decomposition into cyclically-connected factors, 3-vertex-cut
 splitting with completion, and the 4-cut twist.
 
-Every cut question on at most EXHAUSTIVE_CUT_LIMIT vertices is answered by
-one exhaustive scan, `_all_cuts`, which walks the proper bipartitions in
-Gray-code order and updates the cut size incrementally.  Above the limit
-only the minimum cut value is available (Stoer-Wagner): there the
-recursion's cut-product shortcut fires only at k-bundles, which it finds
-without a scan, and `nontrivial_cuts` and `is_cyclically_connected`
-raise."""
+Every cut question is answered by one bounded enumerator, `_all_cuts`,
+which yields the bipartitions whose cut is at most a given size and prunes
+the rest by branch and bound.  It has no vertex limit: the work grows with
+the number of small cuts and near-cuts, not with 2^n."""
 
 from __future__ import annotations
 
@@ -16,9 +13,7 @@ import itertools
 from collections import namedtuple
 
 from .multigraph import (Multigraph, canonical_form, connected_components,
-                         induced_subgraph, is_connected)
-
-EXHAUSTIVE_CUT_LIMIT = 16
+                         induced_subgraph)
 
 EdgeCut = namedtuple("EdgeCut", ["side", "size"])
 
@@ -31,43 +26,79 @@ def _cut_size(g, side):
     return w
 
 
-def _all_cuts(g):
-    """Yield (side, size, count) for each of the 2^(n-1) - 1 proper
-    bipartitions: side is a bitmask of the vertices on vertex 0's side,
-    count their number, size the cut's edge count with multiplicity.
+def _all_cuts(g, bound=None):
+    """Yield (side, size, count) for each proper bipartition whose cut has
+    at most `bound` edges (every one when bound is None): side is a bitmask
+    of the vertices on vertex 0's side, count their number, size the cut's
+    edge count with multiplicity.  Loops never cross a cut.
 
-    The sides come in Gray-code order over vertices 1..n-1, skipping the
-    one code that puts every vertex on the side: step s toggles vertex
-    (s & -s).bit_length(), so each step changes the cut size by
-    deg(v) - 2 * (weight of v's edges into the side), and costs one pass
-    over v's distinct neighbours.  Loops never cross a cut."""
+    Branch and bound: the vertices join vertex 0's side or the rest in
+    breadth-first order from 0.  An unplaced vertex with weights a and b
+    into the two placed parts adds at least min(a, b) to the final cut, so
+    a partial assignment whose crossing edges plus those minima (its slack)
+    exceed the bound has no completion to yield."""
     n = g.n
     if n < 2:
         return
     adj = g.adjacency()
-    nbrs = [tuple(a.items()) for a in adj]
-    deg = [sum(a.values()) for a in adj]
-    into = [0] * n
-    for u, m in nbrs[0]:
-        into[u] += m
+    order, seen = [0], {0}
+    for v in order:
+        for u in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    order += [v for v in range(n) if v not in seen]
+    pos = {v: p for p, v in enumerate(order)}
+    # position p's edges to later positions
+    later = [[(pos[u], m) for u, m in adj[v].items() if pos[u] > p]
+             for p, v in enumerate(order)]
+    if bound is None:
+        bound = sum(g.mult.values())
+    # each position's edge weight into the placed side and into the rest
+    ins, out = [0] * n, [0] * n
+    for u, m in later[0]:
+        ins[u] += m
     full = (1 << n) - 1
-    side, size, count = 1, deg[0], 1
-    yield side, size, count
-    for s in range(1, 1 << (n - 1)):
-        v = (s & -s).bit_length()
-        side ^= 1 << v
-        if side >> v & 1:
-            size += deg[v] - 2 * into[v]
-            count += 1
-            for u, m in nbrs[v]:
-                into[u] += m
+    # side, cut size and slack before position p is placed
+    sides, sizes, slacks = [1] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    placed = [0] * n  # 0 not yet, 1 on the side, 2 on the rest
+    p = 1
+    while p:
+        if p == n:
+            side = sides[n]
+            if side != full:
+                yield side, sizes[n], side.bit_count()
+            p -= 1
+            continue
+        was = placed[p]
+        if was == 2:
+            for u, m in later[p]:
+                out[u] -= m
+            placed[p] = 0
+            p -= 1
+            continue
+        a, b = ins[p], out[p]
+        slack = slacks[p] - (a if a < b else b)
+        if was:
+            # move p from the side to the rest
+            placed[p] = 2
+            side, size = sides[p], sizes[p] + a
+            for u, m in later[p]:
+                x, y = ins[u] - m, out[u]
+                ins[u], out[u] = x, y + m
+                if y < x:
+                    slack += min(y + m, x) - y
         else:
-            size -= deg[v] - 2 * into[v]
-            count -= 1
-            for u, m in nbrs[v]:
-                into[u] -= m
-        if side != full:
-            yield side, size, count
+            placed[p] = 1
+            side, size = sides[p] | 1 << order[p], sizes[p] + b
+            for u, m in later[p]:
+                x, y = ins[u], out[u]
+                ins[u] = x + m
+                if x < y:
+                    slack += min(x + m, y) - x
+        if size + slack <= bound:
+            p += 1
+            sides[p], sizes[p], slacks[p] = side, size, slack
 
 
 def _vertices(mask):
@@ -75,67 +106,23 @@ def _vertices(mask):
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def _stoer_wagner(g):
-    """Global min cut weight of a connected weighted graph (maximum adjacency
-    order, contracting the last two vertices each phase)."""
-    w = {v: {} for v in range(g.n)}
-    for (a, b), m in g.mult.items():
-        w[a][b] = w[a].get(b, 0) + m
-        w[b][a] = w[b].get(a, 0) + m
-    vertices = set(range(g.n))
-    best = None
-    while len(vertices) > 1:
-        order = []
-        weight_to = {v: 0 for v in vertices}
-        remaining = set(vertices)
-        while remaining:
-            u = max(remaining, key=lambda v: (weight_to[v], -v))
-            remaining.discard(u)
-            order.append(u)
-            for x, m in w[u].items():
-                if x in remaining:
-                    weight_to[x] += m
-        s, t = order[-2], order[-1]
-        cut_of_phase = weight_to[t]
-        if best is None or cut_of_phase < best:
-            best = cut_of_phase
-        # merge t into s
-        for x, m in w[t].items():
-            if x == s:
-                continue
-            w[s][x] = w[s].get(x, 0) + m
-            w[x][s] = w[x].get(s, 0) + m
-            del w[x][t]
-        w[s].pop(t, None)
-        del w[t]
-        vertices.discard(t)
-    return best
-
-
 def edge_connectivity(g):
     """Minimum edge-cut size over all vertex bipartitions, with multiplicity;
-    0 exactly when the graph is disconnected. Loops never cross a cut.
-
-    Up to EXHAUSTIVE_CUT_LIMIT vertices this is the minimum over the
-    Gray-code scan; above it, Stoer-Wagner gives the value alone."""
+    0 exactly when the graph is disconnected. Loops never cross a cut.  The
+    smallest trivial cut bounds the minimum, so the scan needs no larger
+    cut."""
     if g.n < 2:
         raise ValueError("edge connectivity needs at least 2 vertices")
-    if not is_connected(g):
-        return 0
-    if g.n <= EXHAUSTIVE_CUT_LIMIT:
-        return min(size for _, size, _ in _all_cuts(g))
-    return _stoer_wagner(g)
+    bound = min(sum(a.values()) for a in g.adjacency())
+    return min(size for _, size, _ in _all_cuts(g, bound))
 
 
 def nontrivial_cuts(g, size):
     """All cuts of exactly the given size with >= 2 vertices on both sides,
     as frozensets containing vertex 0, ordered by side size and then
-    lexicographically.  Found by the exhaustive Gray-code scan, so graphs
-    above EXHAUSTIVE_CUT_LIMIT vertices raise ValueError."""
-    if g.n > EXHAUSTIVE_CUT_LIMIT:
-        raise ValueError("nontrivial cut enumeration is exhaustive; graph too big")
+    lexicographically."""
     out = []
-    for side, sz, count in _all_cuts(g):
+    for side, sz, count in _all_cuts(g, size):
         if sz == size and 2 <= count <= g.n - 2:
             out.append(_vertices(side))
     out.sort(key=lambda vs: (len(vs), vs))
@@ -144,24 +131,21 @@ def nontrivial_cuts(g, size):
 
 def is_cyclically_connected(g, threshold):
     """Whether every edge cut smaller than the threshold is trivial (isolates
-    one vertex).  Returns (flag, witness): witness is a minimal nontrivial
-    EdgeCut when the answer is False, else None.  The check is the
-    exhaustive Gray-code scan, so graphs above EXHAUSTIVE_CUT_LIMIT vertices
-    raise ValueError."""
+    one vertex).  Returns (flag, witness): witness is the nontrivial EdgeCut
+    that is smallest by (size, side size, sorted side vertices) when the
+    answer is False, else None."""
     degs = set(g.degrees())
     if len(degs) != 1:
         raise ValueError("cyclic connectivity is defined here for regular graphs")
     if g.n < 4:
         return True, None
-    if g.n > EXHAUSTIVE_CUT_LIMIT:
-        raise ValueError("cyclic connectivity check is exhaustive; graph too big")
-    best_side, best_size = None, threshold
-    for side, sz, count in _all_cuts(g):
-        if sz < best_size and 2 <= count <= g.n - 2:
-            best_side, best_size = side, sz
-    if best_side is None:
+    best = min(((sz, count, _vertices(side))
+                for side, sz, count in _all_cuts(g, threshold - 1)
+                if 2 <= count <= g.n - 2), default=None)
+    if best is None:
         return True, None
-    return False, EdgeCut(frozenset(_vertices(best_side)), best_size)
+    size, _, vs = best
+    return False, EdgeCut(frozenset(vs), size)
 
 
 def split_edge_cut(g, cut):

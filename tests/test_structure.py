@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from martinpoly import oracle
+from martinpoly import martin, oracle
 from martinpoly.families import circulant, complete_graph, cycle, octahedron
 from martinpoly.martin import (closed_form_circulant, martin_invariant,
                                martin_sequence)
@@ -16,7 +16,6 @@ from martinpoly.multigraph import Multigraph, duplicate, from_edges, \
 from martinpoly.structure import (
     EdgeCut,
     _all_cuts,
-    _stoer_wagner,
     _vertices,
     decompose,
     edge_connectivity,
@@ -87,34 +86,44 @@ def _random_regular_graphs():
             for degree in (4, 8) for n in range(9, 15) for _ in range(2)]
 
 
+def _scanned(g, bound=None):
+    """The cuts _all_cuts(g, bound) yields, as side -> size, each once."""
+    scanned = {}
+    for side, size, count in _all_cuts(g, bound):
+        vs = frozenset(_vertices(side))
+        assert len(vs) == count
+        assert vs not in scanned
+        scanned[vs] = size
+    return scanned
+
+
 def _check_cut_scan_against_oracle(g):
     cuts = list(oracle.all_cuts(g))
     expected = dict(cuts)
-    scanned = {}
-    for side, size, count in _all_cuts(g):
-        vs = _vertices(side)
-        assert len(vs) == count
-        scanned[frozenset(vs)] = size
-    assert scanned == expected
+    assert _scanned(g) == expected
     if g.n < 2:
         return
     lam = min(expected.values())
     assert edge_connectivity(g) == lam
     d = max(g.degrees())
+    for bound in (lam - 1, lam, d, d + 2):
+        assert _scanned(g, bound) == {
+            side: sz for side, sz in cuts if sz <= bound}
     for size in (d, d + 2):
         assert nontrivial_cuts(g, size) == [
             side for side, sz in cuts
             if sz == size and 2 <= len(side) <= g.n - 2]
     if g.n < 4 or len(set(g.degrees())) != 1:
         return
-    small = [sz for side, sz in expected.items()
+    small = [(sz, len(side), sorted(side)) for side, sz in cuts
              if 2 <= len(side) <= g.n - 2 and sz < d + 2]
     flag, witness = is_cyclically_connected(g, d + 2)
     assert flag == (not small)
     if small:
-        assert witness.size == min(small)
-        assert oracle.cut_size(g, witness.side) == witness.size
-        assert 0 in witness.side
+        # the minimal cut by (size, side size, sorted vertices), whatever
+        # order the scan finds them in
+        sz, _, vs = min(small)
+        assert witness == EdgeCut(frozenset(vs), sz)
 
 
 def test_cut_scan_matches_oracle_on_small_classes():
@@ -128,7 +137,7 @@ def test_cut_scan_matches_oracle_on_random_regular_graphs():
         _check_cut_scan_against_oracle(g)
 
 
-def test_stoer_wagner_matches_oracle():
+def test_edge_connectivity_matches_oracle():
     rng = random.Random(1998)
     for trial in range(60):
         n = rng.randint(5, 12)
@@ -141,17 +150,60 @@ def test_stoer_wagner_matches_oracle():
             mult[(u, v)] = mult.get((u, v), 0) + rng.randint(1, 3)
         loops = {rng.randrange(n): 1} if trial % 3 == 0 else {}
         g = Multigraph(n, mult, loops)
-        assert _stoer_wagner(g) == min(sz for _, sz in oracle.all_cuts(g))
+        assert edge_connectivity(g) == min(
+            sz for _, sz in oracle.all_cuts(g))
 
 
-def test_recursion_above_exhaustive_cut_limit():
-    for n in range(17, 21):
-        g = circulant(n, (1, 2))
-        assert martin_invariant(g) == closed_form_circulant(n)
-    with pytest.raises(ValueError):
-        nontrivial_cuts(circulant(17, (1, 2)), 4)
-    with pytest.raises(ValueError):
-        is_cyclically_connected(circulant(17, (1, 2)), 6)
+def _planted_four_cut():
+    """18-vertex 4-regular graph with one planted nontrivial 4-cut: two
+    copies of C9(1,2), each without the disjoint edges (0, 1) and (4, 5),
+    joined through the four freed ends."""
+    half = [e for e in circulant(9, (1, 2)).mult if e not in ((0, 1), (4, 5))]
+    edges = half + [(a + 9, b + 9) for a, b in half]
+    edges += [(v, v + 9) for v in (0, 1, 4, 5)]
+    return from_edges(18, edges)
+
+
+def test_cut_questions_above_sixteen_vertices():
+    c17 = circulant(17, (1, 2))
+    assert nontrivial_cuts(c17, 4) == []
+    assert is_cyclically_connected(c17, 6) == (True, None)
+    g = _planted_four_cut()
+    assert set(g.degrees()) == {4}
+    cuts = list(oracle.all_cuts(g))
+    assert nontrivial_cuts(g, 4) == [
+        side for side, sz in cuts if sz == 4 and 2 <= len(side) <= 16]
+    assert nontrivial_cuts(g, 4) == [frozenset(range(9))]
+    small = min((sz, len(side), sorted(side)) for side, sz in cuts
+                if 2 <= len(side) <= 16)
+    assert is_cyclically_connected(g, 6) == (
+        False, EdgeCut(frozenset(small[2]), small[0]))
+    assert edge_connectivity(g) == 4
+
+
+def test_recursion_above_sixteen_vertices(monkeypatch):
+    for n in range(17, 25):
+        assert martin_invariant(circulant(n, (1, 2))) == \
+            closed_form_circulant(n)
+    g = _planted_four_cut()
+    g1, g2 = split_edge_cut(g, EdgeCut(frozenset(range(9)), 4))
+    expected = 2 * martin_invariant(g1) * martin_invariant(g2)
+    for name in ("_FRONT", "_INVARIANT_MEMO", "_POLY_MEMO"):
+        monkeypatch.setattr(martin, name, {})
+    splits = []
+    monkeypatch.setattr(martin, "split_edge_cut",
+                        lambda h, cut: splits.append(cut) or
+                        split_edge_cut(h, cut))
+    assert martin_invariant(g) == expected
+    assert EdgeCut(tuple(range(9)), 4) in splits
+    # networkx.random_regular_graph(4, 18, seed=18)
+    h = from_edges(18, [
+        (0, 1), (0, 5), (0, 10), (0, 14), (1, 8), (1, 11), (1, 16), (2, 5),
+        (2, 8), (2, 10), (2, 12), (3, 6), (3, 9), (3, 12), (3, 17), (4, 11),
+        (4, 13), (4, 16), (4, 17), (5, 6), (5, 15), (6, 14), (6, 17), (7, 8),
+        (7, 11), (7, 12), (7, 14), (8, 15), (9, 11), (9, 13), (9, 17),
+        (10, 14), (10, 15), (12, 13), (13, 16), (15, 16)])
+    assert martin_invariant(h) == 1355406
 
 
 def test_martin_vanishes_exactly_below_full_connectivity():
