@@ -332,28 +332,27 @@ def main(argv=None):
                     "even-regular multigraphs")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p_compute = sub.add_parser("compute", help="compute invariants for a graph file")
-    p_compute.add_argument("--input", required=True)
-    p_compute.add_argument("--tasks", default="M",
-                           help="comma list: M, M<r>, poly, perm, c2@<p>")
-    p_compute.add_argument("--rmax", type=int, default=None,
-                           help="extend tasks with the Martin sequence up to r")
-    p_compute.add_argument("--primes", default="",
-                           help="comma list of primes for c2 tasks")
-    p_compute.add_argument("--cache", default=None)
-    p_compute.add_argument("--out", default=None)
+    # the options compute and report share
+    batch = argparse.ArgumentParser(add_help=False)
+    batch.add_argument("--input", required=True)
+    batch.add_argument("--tasks", default="M",
+                       help="comma list: M, M<r>, poly, perm, c2@<p>")
+    batch.add_argument("--rmax", type=int, default=None,
+                       help="extend tasks with the Martin sequence up to r")
+    batch.add_argument("--primes", default="",
+                       help="comma list of primes for c2 tasks")
+    batch.add_argument("--cache", default=None)
+    batch.add_argument("--out", default=None)
+
+    p_compute = sub.add_parser("compute", parents=[batch],
+                               help="compute invariants for a graph file")
 
     p_verify = sub.add_parser("verify", help="run a built-in property suite")
     p_verify.add_argument("--suite", required=True, choices=sorted(_SUITES))
     p_verify.add_argument("--max-vertices", type=int, default=6)
 
-    p_report = sub.add_parser("report", help="group graphs by invariant values")
-    p_report.add_argument("--input", required=True)
-    p_report.add_argument("--tasks", default="M")
-    p_report.add_argument("--rmax", type=int, default=None)
-    p_report.add_argument("--primes", default="")
-    p_report.add_argument("--cache", default=None)
-    p_report.add_argument("--out", default=None)
+    p_report = sub.add_parser("report", parents=[batch],
+                              help="group graphs by invariant values")
 
     args = parser.parse_args(argv)
 

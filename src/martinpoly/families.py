@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import itertools
 
-from .multigraph import Multigraph, canonical_form, from_edges, duplicate
+from .multigraph import (Multigraph, _symmetric_matrices, canonical_form,
+                         duplicate, from_edges)
 
 
 def complete_graph(n):
@@ -88,52 +89,25 @@ def four_vertex_regular(a, b, c):
 
 
 def regular_multigraphs(n, degree, loops=False):
-    """All regular multigraphs on n vertices up to isomorphism, found by
-    assigning pair multiplicities (and optionally self-loop counts) vertex by
-    vertex with degree-feasibility pruning, then deduplicating canonically.
+    """All regular multigraphs on n vertices up to isomorphism: each
+    multiplicity matrix with row sums `degree` (self-loops included when
+    loops is set) from _symmetric_matrices, in its order, keeping the first
+    labelled graph of each canonical form.
 
     Disconnected graphs are included; filter with is_connected if needed."""
     if degree < 0 or n < 1:
         raise ValueError("need n >= 1 and degree >= 0")
     results = []
     seen = set()
-    mult = {}
-    loop_count = {}
-    rem = [degree] * n
 
-    def backtrack(v):
-        if v == n:
-            g = Multigraph(n, dict(mult), dict(loop_count))
-            key = canonical_form(g)
-            if key not in seen:
-                seen.add(key)
-                results.append(g)
-            return
-        # capacity of later vertices limits what v can still place
-        def place(j, left):
-            if j == n:
-                if left == 0:
-                    backtrack(v + 1)
-                return
-            capacity = sum(rem[i] for i in range(j + 1, n))
-            lo = max(0, left - capacity)
-            hi = min(left, rem[j])
-            for m in range(lo, hi + 1):
-                if m:
-                    mult[(v, j)] = m
-                    rem[j] -= m
-                place(j + 1, left - m)
-                if m:
-                    del mult[(v, j)]
-                    rem[j] += m
+    def visit(D, L):
+        g = Multigraph(n, {(i, j): D[i][j] for i in range(n)
+                           for j in range(i + 1, n) if D[i][j]},
+                       dict(enumerate(L)))
+        key = canonical_form(g)
+        if key not in seen:
+            seen.add(key)
+            results.append(g)
 
-        max_loops = rem[v] // 2 if loops else 0
-        for nl in range(max_loops + 1):
-            if nl:
-                loop_count[v] = nl
-            place(v + 1, rem[v] - 2 * nl)
-            if nl:
-                del loop_count[v]
-
-    backtrack(0)
+    _symmetric_matrices([degree] * n, visit, loops)
     return results

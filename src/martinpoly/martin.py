@@ -17,7 +17,8 @@ from math import comb, factorial
 from . import polynomial as poly
 from .multigraph import (Multigraph, _classes, apply_transition,
                          canonical_form, connected_components, duplicate,
-                         induced_subgraph, transition_classes)
+                         induced_subgraph, regular_degree,
+                         transition_classes)
 from .structure import EdgeCut, _all_cuts, _vertices, split_edge_cut
 
 _INVARIANT_MEMO = {}
@@ -32,15 +33,6 @@ def _normalize(x):
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     return x
-
-
-def _check_even_degrees(g):
-    if g.n == 0:
-        raise ValueError("empty graph")
-    degs = g.degrees()
-    if any(d % 2 for d in degs):
-        raise ValueError("all vertex degrees must be even")
-    return degs
 
 
 @lru_cache(maxsize=None)
@@ -93,14 +85,6 @@ def _memo_key(g):
 # -- Martin polynomial ---------------------------------------------------
 
 
-def _rose_polynomial(k):
-    """m of a single vertex with k loops: x(x+2)...(x+2k-4), empty for k=1."""
-    out = (1,)
-    for t in range(k - 1):
-        out = poly.mul(out, (2 * t, 1))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _loop_factor(looped):
     """The factor of m that loops contribute, for the sorted (degree, loop
@@ -145,7 +129,9 @@ def _expand_polynomial(g, comps, policy, memo):
         k = g.loops.get(0, 0)
         if k == 0:
             raise ValueError("edgeless component has no Martin polynomial")
-        return _rose_polynomial(k)
+        # a rose with k loops: x(x+2)...(x+2k-4), the loop factor of k-1
+        # loops at degree 2k
+        return _loop_factor(((2 * k, k - 1),))
     pivot = _pick_pivot(g, policy, with_loops=True)
     result = ()
     for D, L, coeff in transition_classes(g, pivot):
@@ -157,10 +143,10 @@ def _expand_polynomial(g, comps, policy, memo):
 def martin_polynomial(g, pivot_policy="fewest-classes"):
     """Exact transition-system generating polynomial m(g, x): the sum of
     (x-2)^(circuits-1) over all transition systems."""
-    _check_even_degrees(g)
-    for comp in connected_components(g):
-        if len(comp) == 1 and not g.loops.get(comp[0], 0):
-            raise ValueError("edgeless component has no Martin polynomial")
+    if g.n == 0:
+        raise ValueError("empty graph")
+    if any(d % 2 for d in g.degrees()):
+        raise ValueError("all vertex degrees must be even")
     memo = _POLY_MEMO if pivot_policy == "fewest-classes" else {}
     return _mpoly(g, pivot_policy, memo)
 
@@ -177,16 +163,14 @@ def circuit_partition_polynomial(g, pivot_policy="fewest-classes"):
 
 def _k4_closed_form(g, k):
     """Loop-free regular 4-vertex multigraphs have opposite-edge multiplicity
-    pairs (a, b, c); the invariant is a!b!c!/((k-a)!(k-b)!(k-c)!) when every
-    multiplicity is at most k, and 0 otherwise."""
+    pairs (a, b, c); the invariant is a!b!c!/((k-a)!(k-b)!(k-c)!).  Called
+    only after _minv's k-bundle pass, so every multiplicity is below k."""
     a = g.mult.get((0, 1), 0)
     b = g.mult.get((0, 2), 0)
     c = g.mult.get((0, 3), 0)
     if (g.mult.get((2, 3), 0) != a or g.mult.get((1, 3), 0) != b
             or g.mult.get((1, 2), 0) != c or a + b + c != 2 * k):
         raise ValueError("not a regular loop-free 4-vertex graph")
-    if a > k or b > k or c > k:
-        return 0
     num = factorial(a) * factorial(b) * factorial(c)
     den = factorial(k - a) * factorial(k - b) * factorial(k - c)
     if num % den:
@@ -266,12 +250,9 @@ def martin_invariant(g, pivot_policy="fewest-classes"):
     Integer for three or more vertices; 2^k/(2k)! for the k-rose and 1/k!
     for the 2k-dipole.
     """
-    degs = set(_check_even_degrees(g))
-    if len(degs) != 1:
-        raise ValueError("the Martin invariant needs a regular graph")
-    d = degs.pop()
-    if d == 0:
-        raise ValueError("degree must be positive")
+    d = regular_degree(g)
+    if d == 0 or d % 2:
+        raise ValueError("the Martin invariant needs positive even degree")
     k = d // 2
     if g.n == 1:
         return _normalize(Fraction(2 ** k, factorial(2 * k)))
@@ -335,8 +316,7 @@ def symmetry_factor(g, N, decompleted=False):
     """Transition-count weights of a 4-regular graph: 3^-n * J(g, N), or for
     the decompleted graph (m(g, x)/x at x = N+2) / 3^(n-1).  The decompleted
     variant at N = -2 equals 2 * 3^(2-n) * M(g)."""
-    degs = set(g.degrees())
-    if degs != {4}:
+    if regular_degree(g) != 4:
         raise ValueError("symmetry factors are for 4-regular graphs")
     N = Fraction(N)
     m = martin_polynomial(g)

@@ -178,6 +178,16 @@ def is_connected(g):
     return len(connected_components(g)) <= 1
 
 
+def regular_degree(g):
+    """The common degree of a regular graph; ValueError when g is empty or
+    its degrees differ."""
+    degs = set(g.degrees())
+    if len(degs) != 1:
+        raise ValueError("need a nonempty regular graph, not degrees %s"
+                         % sorted(degs))
+    return degs.pop()
+
+
 # -- surgery ----------------------------------------------------------
 
 
@@ -220,33 +230,41 @@ def delete_vertex(g, v):
     return induced_subgraph(g, [u for u in range(g.n) if u != v])[0]
 
 
-def _symmetric_matrices(d):
-    """Yield symmetric zero-diagonal nonnegative m x m matrices with row sums d."""
+def _symmetric_matrices(d, visit, loops=False):
+    """Call visit(D, L) once for every symmetric zero-diagonal nonnegative
+    m x m matrix D and loop counts L (all zero unless loops is set) with
+    sum(D[i]) + 2 L[i] = d[i] for every i.
+
+    The matrix is settled row by row, each row's loop count first and then
+    its entries right of the diagonal, every choice in increasing order; an
+    entry takes at least what the later columns of its row cannot absorb.
+    D and L are the enumerator's working lists, set afresh on every path to
+    a leaf: visit copies what it keeps."""
     m = len(d)
     D = [[0] * m for _ in range(m)]
+    L = [0] * m
     rem = list(d)
 
-    def fill(i):
+    def row(i):
         if i == m:
-            yield tuple(tuple(row) for row in D)
+            visit(D, L)
             return
-        # choose D[i][j] for j > i; rows < i are already settled
-        def assign(j, left):
-            if j == m:
-                if left == 0:
-                    yield from fill(i + 1)
-                return
-            top = min(left, rem[j])
-            for t in range(top + 1):
-                D[i][j] = D[j][i] = t
-                rem[j] -= t
-                yield from assign(j + 1, left - t)
-                rem[j] += t
-            D[i][j] = D[j][i] = 0
+        for nl in range(rem[i] // 2 + 1 if loops else 1):
+            L[i] = nl
+            entry(i, i + 1, rem[i] - 2 * nl)
 
-        yield from assign(i + 1, rem[i])
+    def entry(i, j, left):
+        if j == m:
+            if left == 0:
+                row(i + 1)
+            return
+        for t in range(max(0, left - sum(rem[j + 1:])), min(left, rem[j]) + 1):
+            D[i][j] = D[j][i] = t
+            rem[j] -= t
+            entry(i, j + 1, left - t)
+            rem[j] += t
 
-    yield from fill(0)
+    row(0)
 
 
 @lru_cache(maxsize=None)
@@ -258,22 +276,23 @@ def _classes(d):
     L[i] the self-loops made at neighbour i, and coeff = prod d_i! /
     (prod 2^L_i L_i! * prod_{i<j} D_ij!) the number of pairings of the
     pivot's half-edges in the class; the coefficients sum to (deg - 1)!!.
-    Classes come with L in product order, so the loop-free ones (L = 0)
-    come first."""
+    Classes come sorted by L, in the enumerator's order within one L, so
+    the loop-free ones (L = 0) come first."""
     num = 1
     for di in d:
         num *= factorial(di)
     out = []
-    for L in itertools.product(*(range(di // 2 + 1) for di in d)):
+
+    def visit(D, L):
         den = 1
-        for li in L:
-            den *= 2 ** li * factorial(li)
-        for D in _symmetric_matrices([di - 2 * li for di, li in zip(d, L)]):
-            dd = den
-            for i, row in enumerate(D):
-                for x in row[i + 1:]:
-                    dd *= factorial(x)
-            out.append((D, L, num // dd))
+        for i, row in enumerate(D):
+            den *= 2 ** L[i] * factorial(L[i])
+            for x in row[i + 1:]:
+                den *= factorial(x)
+        out.append((tuple(map(tuple, D)), tuple(L), num // den))
+
+    _symmetric_matrices(d, visit, loops=True)
+    out.sort(key=lambda c: c[1])
     return tuple(out)
 
 
@@ -346,7 +365,6 @@ def _refine(adj, cells):
 
 def _encode(g, lab):
     """Adjacency certificate of g under the labeling lab (lab[pos] = vertex)."""
-    pos = {v: i for i, v in enumerate(lab)}
     n = g.n
     cert = [n]
     cert.extend(g.loops.get(lab[i], 0) for i in range(n))

@@ -10,7 +10,7 @@ from math import comb, factorial
 
 from .martin import martin_invariant
 from .multigraph import (Multigraph, canonical_form, duplicate,
-                         induced_subgraph, is_connected)
+                         induced_subgraph, is_connected, regular_degree)
 from .oracle import BudgetExceeded, MarkedGraph, count_tree_forest_partitions
 
 ResidueReport = namedtuple("ResidueReport", ["modulus", "residue", "provenance"])
@@ -35,10 +35,7 @@ def is_prime(n):
 
 
 def _regular_k(g):
-    degs = set(g.degrees())
-    if len(degs) != 1:
-        raise ValueError("need a regular graph")
-    d = degs.pop()
+    d = regular_degree(g)
     if d % 2 or d == 0:
         raise ValueError("need positive even degree")
     return d // 2
@@ -409,8 +406,7 @@ def c2_from_martin(g, p, allow_small=False):
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
-    degs = set(g.degrees())
-    if degs != {4}:
+    if regular_degree(g) != 4:
         raise ValueError("need a 4-regular completion")
     if g.n < 6 and not allow_small:
         raise ValueError("the Martin route needs >= 6 vertices")
@@ -440,8 +436,7 @@ def c2_from_trees_forests(g, v, w, p):
     congruence is actually about; the division below is exact."""
     if not is_prime(p):
         raise ValueError("p must be prime")
-    degs = set(g.degrees())
-    if degs != {4}:
+    if regular_degree(g) != 4:
         raise ValueError("need a 4-regular completion")
     if g.n < 5:
         raise ValueError("need at least 5 vertices")

@@ -13,7 +13,7 @@ import itertools
 from collections import namedtuple
 
 from .multigraph import (Multigraph, canonical_form, connected_components,
-                         induced_subgraph)
+                         induced_subgraph, regular_degree)
 
 EdgeCut = namedtuple("EdgeCut", ["side", "size"])
 
@@ -134,9 +134,7 @@ def is_cyclically_connected(g, threshold):
     one vertex).  Returns (flag, witness): witness is the nontrivial EdgeCut
     that is smallest by (size, side size, sorted side vertices) when the
     answer is False, else None."""
-    degs = set(g.degrees())
-    if len(degs) != 1:
-        raise ValueError("cyclic connectivity is defined here for regular graphs")
+    regular_degree(g)  # raises unless g is regular
     if g.n < 4:
         return True, None
     best = min(((sz, count, _vertices(side))
@@ -158,8 +156,7 @@ def split_edge_cut(g, cut):
     if cut.size != actual:
         raise ValueError("cut size %d does not match the bipartition (%d)"
                          % (cut.size, actual))
-    degs = set(g.degrees())
-    if len(degs) != 1 or actual != next(iter(degs)):
+    if actual != regular_degree(g):
         raise ValueError("cut size must equal the degree of the regular graph")
 
     def contract(keep):
@@ -176,10 +173,7 @@ def split_edge_cut(g, cut):
 
 
 def _decompose_graphs(g, rng=None):
-    degs = set(g.degrees())
-    if len(degs) != 1:
-        raise ValueError("decomposition needs a regular graph")
-    d = next(iter(degs))
+    d = regular_degree(g)
     if d % 2 or d == 0:
         raise ValueError("decomposition needs even positive degree")
     if g.n < 3:
@@ -217,6 +211,30 @@ def is_totally_decomposable(g):
     return all(f.n == 3 for f in _decompose_graphs(g))
 
 
+def _split_sides(g, cut, side_edges):
+    """Split g's edges at the vertex set cut: side_edges (a dict pair ->
+    multiplicity, a sub-multiset of g.mult) on one side, the rest on the
+    other.  Returns (e1, v1, e2, v2): each side's edges and vertices, the
+    cut included in both; a loop goes with its vertex, to the second side
+    when that vertex touches no side edge.  Raises when a vertex outside the
+    cut lies on both sides."""
+    e1 = {}
+    for (a, b), m in side_edges.items():
+        e = (a, b) if a < b else (b, a)
+        if m <= 0 or g.mult.get(e, 0) < m:
+            raise ValueError("side edges must be a sub-multiset of the graph")
+        e1[e] = m
+    e2 = {e: m - e1.get(e, 0) for e, m in g.mult.items() if m > e1.get(e, 0)}
+    v1, v2 = set(cut), set(cut)
+    for vs, edges in ((v1, e1), (v2, e2)):
+        for e in edges:
+            vs.update(e)
+    v2.update(v for v in g.loops if v not in v1 - set(cut))
+    if v1 & v2 != set(cut):
+        raise ValueError("a vertex outside the cut lies on both sides")
+    return e1, v1, e2, v2
+
+
 def split_three_vertex_cut(g, cut_vertices, side_edges):
     """Split at a 3-vertex cut.  side_edges assigns one side's edges (a dict
     pair -> multiplicity, a sub-multiset of g.mult); the rest form the other
@@ -226,35 +244,10 @@ def split_three_vertex_cut(g, cut_vertices, side_edges):
     cut = tuple(cut_vertices)
     if len(set(cut)) != 3:
         raise ValueError("need three distinct cut vertices")
-    degs = set(g.degrees())
-    if len(degs) != 1:
-        raise ValueError("3-vertex-cut splitting needs a regular graph")
-    d = next(iter(degs))
+    d = regular_degree(g)
     if any(v in g.loops for v in cut):
         raise ValueError("cut vertices must be loop-free")
-    e1 = {}
-    for (a, b), m in side_edges.items():
-        e = (a, b) if a < b else (b, a)
-        if m <= 0 or g.mult.get(e, 0) < m:
-            raise ValueError("side edges must be a sub-multiset of the graph")
-        e1[e] = m
-    e2 = {}
-    for e, m in g.mult.items():
-        rest = m - e1.get(e, 0)
-        if rest:
-            e2[e] = rest
-    v1 = set(cut)
-    for (a, b) in e1:
-        v1.add(a)
-        v1.add(b)
-    v2 = set(cut)
-    for (a, b) in e2:
-        v2.add(a)
-        v2.add(b)
-    for v, c in g.loops.items():
-        (v1 if v in v1 - set(cut) else v2).add(v)
-    if v1 & v2 != set(cut):
-        raise ValueError("sides share vertices beyond the cut")
+    e1, v1, e2, v2 = _split_sides(g, cut, side_edges)
     if v1 | v2 != set(range(g.n)):
         raise ValueError("sides do not cover the graph")
 
@@ -298,25 +291,7 @@ def twist(g, s, side_edges, sigma):
     if sorted(sigma) != [0, 1, 2, 3] or any(sigma[i] == i for i in range(4)) \
             or any(sigma[sigma[i]] != i for i in range(4)):
         raise ValueError("sigma must be a fixed-point-free involution of 0..3")
-    e1 = {}
-    for (a, b), m in side_edges.items():
-        e = (a, b) if a < b else (b, a)
-        if m <= 0 or g.mult.get(e, 0) < m:
-            raise ValueError("side edges must be a sub-multiset of the graph")
-        e1[e] = m
-    sset = set(s)
-    inside1 = set()
-    inside2 = set()
-    for (a, b), m in g.mult.items():
-        m1 = e1.get((a, b), 0)
-        for v in (a, b):
-            if v not in sset:
-                if m1:
-                    inside1.add(v)
-                if m - m1:
-                    inside2.add(v)
-    if inside1 & inside2:
-        raise ValueError("a non-cut vertex touches both sides; S is not a 4-cut")
+    e1, _, mult, _ = _split_sides(g, s, side_edges)
     pos = {v: i for i, v in enumerate(s)}
     ends = [0, 0, 0, 0]
     for (a, b), m in e1.items():
@@ -331,19 +306,12 @@ def twist(g, s, side_edges, sigma):
     def image(v):
         return s[sigma[pos[v]]] if v in pos else v
 
-    mult = {}
-
-    def put(a, b, m):
-        e = (a, b) if a < b else (b, a)
+    # the rest plus the side's image; an image pair may come out reversed,
+    # and the constructor adds it to its ordered twin
+    for (a, b), m in e1.items():
+        e = (image(a), image(b))
         mult[e] = mult.get(e, 0) + m
-
-    for (a, b), m in g.mult.items():
-        m1 = e1.get((a, b), 0)
-        if m - m1:
-            put(a, b, m - m1)
-        if m1:
-            put(image(a), image(b), m1)
-    return Multigraph(g.n, mult, dict(g.loops))
+    return Multigraph(g.n, mult, g.loops)
 
 
 def four_vertex_cuts(g):

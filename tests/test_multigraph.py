@@ -9,6 +9,7 @@ import pytest
 from martinpoly.multigraph import (
     Multigraph,
     RotationSystem,
+    _classes,
     apply_transition,
     canonical_form,
     delete_vertex,
@@ -18,6 +19,7 @@ from martinpoly.multigraph import (
     induced_subgraph,
     is_isomorphic,
     planar_dual,
+    regular_degree,
     relabel,
     trace_faces,
     transition_classes,
@@ -171,6 +173,80 @@ def test_generator_output_is_pinned(case, classes, digest):
     assert len({canonical_form(g) for g in pool}) == classes
     lines = sorted(" ".join(map(str, martin_polynomial(g))) for g in pool)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+# (n, degree, loops) -> sha256 of the generator's labelled representatives
+# in list order, one line repr((n, sorted mult, sorted loops)) per class.
+# The pins above are order-blind; these also fix which labelled graph
+# represents each class and the order the classes come in.
+_REPRESENTATIVE_PINS = {
+    (1, 4, True):
+        "809f9cc200750f4b4656206cbb8893e72ed5885ab634605389eb460665548b6f",
+    (2, 4, True):
+        "6192ee8ad4c59234af3b27f21bf1c5d18611a50600ba75253b42ee00bf322929",
+    (3, 4, True):
+        "6399015596865d41bd1e46e1439c229b2f2e02470f49010e947a00979a4fd82a",
+    (4, 4, True):
+        "7cc2c56a3780a5240193fb938d0f5065b449d533d60c47e21e3ecfc3cf00bc46",
+    (5, 4, True):
+        "ec5882a8459140164fe75d2d05c4ff2a5669c88f5b1e2bacb86a41c62e22f54d",
+    (6, 4, True):
+        "13b53de2ecc3da12e6e65b1b3fa987c58425133afc93c8b32168449ecf48ed51",
+    (7, 4, True):
+        "bbdfd7bedd2812dc98c3cd46f57db592eaa3507cb3e7f475795f544518e00395",
+    (1, 6, True):
+        "cc15f2d98bce043dc4ee36fa5d8dad303621ecc4e9d264e48248cf51761e5110",
+    (2, 6, True):
+        "53919c0b34690fbf97018e86902f79494f9cd02dc3a65548c1b50da12376dc95",
+    (3, 6, True):
+        "084bc8ab676e5f390a799faeebbe44ede2ead8ae22f46db695c05ae57160e0aa",
+    (4, 6, True):
+        "7b6f48d7eeb0ecbfab46efc68538cabdb4ef1d618c38a5d4665c42da605a7482",
+    (5, 6, True):
+        "3fce1ecdc04c3712ac75958fa50f475cd8ec1cbf70aab2018e4b0b8aba511d29",
+    (6, 6, False):
+        "df47bd3e723008a029c9bfdd55731d34717b9cfad41d76641998d144d1d3bea0",
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(_REPRESENTATIVE_PINS),
+    ids=["n%d-d%d-%s" % (n, d, "loops" if loops else "loopless")
+         for n, d, loops in _REPRESENTATIVE_PINS])
+def test_generator_representatives_are_pinned(case):
+    lines = [repr((g.n, sorted(g.mult.items()), sorted(g.loops.items())))
+             for g in generated(*case)]
+    got = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert got == _REPRESENTATIVE_PINS[case]
+
+
+def _compositions(total):
+    """Every tuple of positive integers that sums to total."""
+    for parts in range(1, total + 1):
+        for cuts in itertools.combinations(range(1, total), parts - 1):
+            ends = (0,) + cuts + (total,)
+            yield tuple(b - a for a, b in zip(ends, ends[1:]))
+
+
+def test_transition_classes_are_pinned():
+    # every neighbour profile of even degree up to 8, and (3, 3, 3, 3): the
+    # classes with their order, matrices, loop counts and coefficients
+    profiles = [d for total in (2, 4, 6, 8) for d in _compositions(total)]
+    profiles.append((3, 3, 3, 3))
+    assert len(profiles) == 171
+    got = repr([(d, _classes(d)) for d in profiles])
+    assert hashlib.sha256(got.encode()).hexdigest() == (
+        "4144f41bd02331fff13163d3b08eef3066d74a354ffb26f9ff0a8caea5e162c3")
+
+
+def test_regular_degree():
+    assert regular_degree(complete_graph(5)) == 4
+    assert regular_degree(k3_113()) == 4
+    assert regular_degree(Multigraph(3)) == 0
+    with pytest.raises(ValueError):
+        regular_degree(Multigraph(0))
+    with pytest.raises(ValueError):
+        regular_degree(dunce_cap())
 
 
 # (degree, n) -> sha256 of the sorted hex canonical_form keys of the loopy

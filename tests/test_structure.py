@@ -33,6 +33,7 @@ from conftest import (
     five_r_cut,
     generated,
     glued_k5_octahedron,
+    k3_113,
     twist_pair_ten_vertex,
 )
 
@@ -67,6 +68,11 @@ def test_cyclic_connectivity_witness():
     assert flag and witness is None
     flag, witness = is_cyclically_connected(complement_c3_c4(), 6)
     assert flag and witness is None
+    # no nontrivial cut exists below 4 vertices, whatever the threshold
+    for g in (k3_113(), duplicate(cycle(3), 3), Multigraph(2, {(0, 1): 4})):
+        assert is_cyclically_connected(g, 100) == (True, None)
+    with pytest.raises(ValueError):
+        is_cyclically_connected(from_edges(3, [(0, 1), (1, 2)]), 2)
 
 
 def _pairing_model(n, degree, rng):
@@ -306,6 +312,49 @@ def test_three_vertex_cut_validation():
     # assigning only part of one side leaves shared non-cut vertices
     with pytest.raises(ValueError):
         split_three_vertex_cut(g, (0, 1, 2), {(3, 4): 1})
+    # a zero count, and an irregular graph
+    with pytest.raises(ValueError):
+        split_three_vertex_cut(g, (0, 1, 2), {(3, 4): 0})
+    with pytest.raises(ValueError):
+        split_three_vertex_cut(from_edges(3, [(0, 1), (1, 2)]), (0, 1, 2), {})
+    # a loop on a cut vertex: 0 trades its edges to 5 and 6 for a loop
+    edges = [e for e in five_r_cut().mult if e not in ((0, 5), (0, 6))]
+    looped = from_edges(7, edges + [(0, 0), (5, 6)])
+    with pytest.raises(ValueError):
+        split_three_vertex_cut(looped, (0, 1, 2), _k5_side_edges())
+    # an edgeless graph: vertex 3 is on neither side
+    with pytest.raises(ValueError):
+        split_three_vertex_cut(Multigraph(4), (0, 1, 2), {})
+    # K4 is 3-regular: the triangle side sees one edge end at each cut
+    # vertex, and (1 + 1 - 1) / 2 is not an integer
+    k4 = complete_graph(4)
+    with pytest.raises(ValueError):
+        split_three_vertex_cut(k4, (0, 1, 2), {(0, 3): 1, (1, 3): 1,
+                                               (2, 3): 1})
+    # side {3, 4} meets the cut only at 2, by two edges, so the rest's
+    # completion needs (0 + 0 - 2) / 2 = -1 edges between 0 and 1
+    side = {(2, 3): 1, (2, 4): 1, (3, 4): 3}
+    rest = [(0, 1), (0, 1), (0, 5), (0, 6), (1, 5), (1, 6), (2, 5), (2, 6),
+            (5, 6)]
+    g = from_edges(7, [e for e, m in side.items() for _ in range(m)] + rest)
+    assert set(g.degrees()) == {4}
+    with pytest.raises(ValueError):
+        split_three_vertex_cut(g, (0, 1, 2), side)
+
+
+def test_three_vertex_cut_puts_loops_with_their_side():
+    # 4-regular, cut {0, 1, 2}; side {3, 4} carries the loop at 3, the rest
+    # {5, 6} the loop at 5, and the isolated rose 7 touches no side edge
+    side = {(3, 4): 1, (0, 3): 1, (0, 4): 1, (1, 4): 1, (2, 4): 1}
+    rest = [(5, 6), (1, 5), (1, 6), (0, 6), (2, 6), (0, 2), (1, 2)]
+    g = from_edges(8, list(side) + rest + [(3, 3), (5, 5), (7, 7), (7, 7)])
+    a, b = split_three_vertex_cut(g, (0, 1, 2), side)
+    # completions: n_01 = n_02 = 1 and n_12 = 2 on a, n_01 = n_02 = 1 on b
+    assert a == from_edges(5, list(side) + [(3, 3), (0, 1), (0, 2), (1, 2),
+                                            (1, 2)])
+    assert b == from_edges(6, [(3, 4), (1, 3), (1, 4), (0, 4), (2, 4), (0, 2),
+                               (1, 2), (3, 3), (5, 5), (5, 5), (0, 1),
+                               (0, 2)])
 
 
 # ------------------------------------------------------------------------ twist
@@ -346,6 +395,14 @@ def test_twist_validation():
         twist(g, (s[0],) * 4, side, sigma)
     bad = dict(side)
     bad[(2, 9)] = 5
+    with pytest.raises(ValueError):
+        twist(g, s, bad, sigma)
+    # side edges that are no sub-multiset: a missing pair, a zero count
+    for bad in ({**side, (0, 9): 1}, {**side, (2, 3): 0}):
+        with pytest.raises(ValueError):
+            twist(g, s, bad, sigma)
+    # without (1, 5) the non-cut vertex 1 is on both sides: no 4-cut
+    bad = {e: m for e, m in side.items() if e != (1, 5)}
     with pytest.raises(ValueError):
         twist(g, s, bad, sigma)
 
