@@ -35,34 +35,24 @@ def _normalize(x):
     return x
 
 
-@lru_cache(maxsize=None)
-def _class_count(profile, with_loops):
-    """Number of transition classes at a pivot whose sorted neighbor
-    multiplicities are `profile`, the loop-making ones only when with_loops
-    is set (used only to rank pivot candidates)."""
-    return sum(1 for _, L, _ in _classes(profile)
-               if with_loops or not any(L))
-
-
 def _pick_pivot(g, policy, with_loops):
-    """The loop-free vertex with the fewest transition classes.  For the
-    invariant (with_loops unset), ties go to the vertex with the most
-    adjacent neighbour pairs, i.e. the most triangles through it: its
-    transitions add edges to pairs that already have some, so the children
-    carry more k-bundles and small cuts, which the invariant recursion
-    settles without expanding.  The polynomial recursion has no such
-    shortcut and keeps the lowest label; so do the remaining ties."""
+    """The loop-free vertex with the fewest transition classes, counting
+    only the loop-free ones when with_loops is unset.  For the invariant
+    (with_loops unset), ties go to the vertex with the most adjacent
+    neighbour pairs, i.e. the most triangles through it: its transitions
+    add edges to pairs that already have some, so the children carry more
+    k-bundles and small cuts, which the invariant recursion settles without
+    expanding.  The polynomial recursion has no such shortcut and keeps the
+    lowest label; so do the remaining ties."""
     if policy == "first":
         return 0
-    if policy != "fewest-classes":
-        raise ValueError("unknown pivot policy %r" % (policy,))
     adj = g.adjacency()
     best, best_rank = None, None
     for v in range(g.n):
         if g.loops.get(v, 0):
             continue
         nbrs = adj[v]
-        score = _class_count(tuple(sorted(nbrs.values())), with_loops)
+        score = len(_classes(tuple(sorted(nbrs.values())), with_loops))
         if best_rank is not None and score > best_rank[0]:
             continue
         triangles = 0 if with_loops else sum(
@@ -71,6 +61,14 @@ def _pick_pivot(g, policy, with_loops):
         if best_rank is None or rank < best_rank:
             best, best_rank = v, rank
     return best
+
+
+def _policy_memo(policy, shared):
+    """The memo a pivot policy's recursion uses: the shared one for the
+    default policy, a fresh one for "first"."""
+    if policy not in ("fewest-classes", "first"):
+        raise ValueError("unknown pivot policy %r" % (policy,))
+    return shared if policy == "fewest-classes" else {}
 
 
 def _memo_key(g):
@@ -147,8 +145,7 @@ def martin_polynomial(g, pivot_policy="fewest-classes"):
         raise ValueError("empty graph")
     if any(d % 2 for d in g.degrees()):
         raise ValueError("all vertex degrees must be even")
-    memo = _POLY_MEMO if pivot_policy == "fewest-classes" else {}
-    return _mpoly(g, pivot_policy, memo)
+    return _mpoly(g, pivot_policy, _policy_memo(pivot_policy, _POLY_MEMO))
 
 
 def circuit_partition_polynomial(g, pivot_policy="fewest-classes"):
@@ -235,10 +232,8 @@ def _minv(g, k, policy, memo):
         return result
     pivot = _pick_pivot(g, policy, with_loops=False)
     result = 0
-    for D, L, coeff in transition_classes(g, pivot):
-        if not any(L):
-            result += coeff * _minv(apply_transition(g, pivot, D), k,
-                                    policy, memo)
+    for D, _, coeff in transition_classes(g, pivot, False):
+        result += coeff * _minv(apply_transition(g, pivot, D), k, policy, memo)
     memo[key] = result
     return result
 
@@ -254,13 +249,13 @@ def martin_invariant(g, pivot_policy="fewest-classes"):
     if d == 0 or d % 2:
         raise ValueError("the Martin invariant needs positive even degree")
     k = d // 2
+    memo = _policy_memo(pivot_policy, _INVARIANT_MEMO)
     if g.n == 1:
         return _normalize(Fraction(2 ** k, factorial(2 * k)))
     if g.loops:
         return 0
     if g.n == 2:
         return _normalize(Fraction(1, factorial(k)))
-    memo = _INVARIANT_MEMO if pivot_policy == "fewest-classes" else {}
     return _minv(g, k, pivot_policy, memo)
 
 

@@ -268,7 +268,7 @@ def _symmetric_matrices(d, visit, loops=False):
 
 
 @lru_cache(maxsize=None)
-def _classes(d):
+def _classes(d, loops=True):
     """Transition classes at a loop-free pivot whose neighbours, in
     increasing order, have edge multiplicities d: triples (D, L, coeff).
 
@@ -276,8 +276,9 @@ def _classes(d):
     L[i] the self-loops made at neighbour i, and coeff = prod d_i! /
     (prod 2^L_i L_i! * prod_{i<j} D_ij!) the number of pairings of the
     pivot's half-edges in the class; the coefficients sum to (deg - 1)!!.
-    Classes come sorted by L, in the enumerator's order within one L, so
-    the loop-free ones (L = 0) come first."""
+    Classes come sorted by L, in the enumerator's order within one L.
+    With loops unset only the loop-free classes (L = 0) are made, so the
+    result is the prefix of the full list that they head."""
     num = 1
     for di in d:
         num *= factorial(di)
@@ -291,27 +292,30 @@ def _classes(d):
                 den *= factorial(x)
         out.append((tuple(map(tuple, D)), tuple(L), num // den))
 
-    _symmetric_matrices(d, visit, loops=True)
+    _symmetric_matrices(d, visit, loops)
     out.sort(key=lambda c: c[1])
     return tuple(out)
 
 
-def transition_classes(g, v):
-    """All transition classes at the pivot v as (D, L, coeff) triples (see
-    _classes), indexed by v's neighbours in increasing order."""
+def transition_classes(g, v, loops=True):
+    """The transition classes at the pivot v as (D, L, coeff) triples (see
+    _classes), indexed by v's neighbours in increasing order: all of them,
+    or with loops unset only the loop-free ones."""
     if g.loops.get(v, 0):
         raise ValueError("pivot has a self-loop")
     adj = g.neighbors(v)
     d = tuple(adj[w] for w in sorted(adj))
     if sum(d) % 2:
         raise ValueError("pivot has odd degree")
-    return _classes(d)
+    return _classes(d, loops)
 
 
 def apply_transition(g, v, D, L=None):
     """Remove the pivot v and rewire: D[i][j] new edges between its i-th and
     j-th neighbours (in increasing order), and L[i] new self-loops at the
     i-th."""
+    if g.loops.get(v, 0):
+        raise ValueError("pivot has a self-loop")
     adj = g.neighbors(v)
     nbrs = sorted(adj)
     m = len(nbrs)

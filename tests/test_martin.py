@@ -148,6 +148,19 @@ def test_pinned_sequence_of_a_random_12_vertex_graph():
         4280, 1924469536849920, 7860907058744035326321380818944]
 
 
+def test_pinned_sequence_of_a_cyclically_6_connected_10_vertex_graph():
+    # a cyclically 6-connected simple 4-regular graph; r = 4 is where the
+    # loop-making transition classes, which the invariant never expands,
+    # outnumber the loop-free ones
+    g = from_edges(10, [
+        (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 6), (1, 8),
+        (2, 4), (2, 5), (2, 9), (3, 4), (3, 9), (4, 8), (5, 6), (5, 7),
+        (6, 7), (7, 8), (7, 9), (8, 9)])
+    assert martin_sequence(g, 4) == [
+        608, 599176249344, 700491754121726949064704,
+        89087784161686739313044005450426613760]
+
+
 # ----------------------------------------------------------- recursion behavior
 
 
@@ -158,6 +171,17 @@ def test_pivot_policy_independence():
     for g in pool:
         assert martin_polynomial(g, "first") == martin_polynomial(g)
         assert martin_invariant(g, "first") == martin_invariant(g)
+
+
+def test_unknown_pivot_policy_is_rejected():
+    # also where the recursion settles the graph without picking a pivot
+    for g in (duplicate(complete_graph(3), 2), dipole(4), k4_112(),
+              duplicate(cycle(6), 2), octahedron()):
+        with pytest.raises(ValueError):
+            martin_invariant(g, "bogus")
+    for g in (rose(2), octahedron()):
+        with pytest.raises(ValueError):
+            martin_polynomial(g, "bogus")
 
 
 def _fresh_memos(monkeypatch):
@@ -260,9 +284,7 @@ def test_expansion_terms_never_exceed_total():
     for g in (octahedron(), circulant(8, (1, 2)), five_r_cut()):
         m = martin_invariant(g)
         total = 0
-        for D, L, coeff in transition_classes(g, 0):
-            if any(L):
-                continue
+        for D, _, coeff in transition_classes(g, 0, loops=False):
             md = martin_invariant(apply_transition(g, 0, D))
             assert 0 <= md <= m
             total += coeff * md

@@ -237,6 +237,13 @@ def test_transition_classes_are_pinned():
     got = repr([(d, _classes(d)) for d in profiles])
     assert hashlib.sha256(got.encode()).hexdigest() == (
         "4144f41bd02331fff13163d3b08eef3066d74a354ffb26f9ff0a8caea5e162c3")
+    # the loop-free classes are the L = 0 prefix of the full list, in order
+    for d in profiles:
+        full = _classes(d)
+        loop_free = _classes(d, False)
+        assert loop_free == full[:len(loop_free)]
+        assert not any(any(L) for _, L, _ in loop_free)
+        assert all(any(L) for _, L, _ in full[len(loop_free):])
 
 
 def test_regular_degree():
@@ -409,7 +416,9 @@ def _check_transition_mass(g, v):
     assert total == _double_factorial(d - 1)
 
     classes = transition_classes(g, v)
-    enum = [(D, c) for D, L, c in classes if not any(L)]
+    free = transition_classes(g, v, loops=False)
+    assert free == tuple(c for c in classes if not any(c[1]))
+    enum = [(D, c) for D, _, c in free]
     assert sum(c for _, c in enum) == loop_free
     assert dict(enum) == by_matrix
 
@@ -437,10 +446,13 @@ def test_transition_rejects_bad_pivots():
         transition_classes(dunce_cap(), 0)  # odd degree
     with pytest.raises(ValueError):
         transition_classes(k3_113(), 2)  # loop at the pivot
+    looped = Multigraph(3, {(0, 1): 1, (0, 2): 1, (1, 2): 3}, {0: 1})
+    with pytest.raises(ValueError):
+        apply_transition(looped, 0, ((0, 1), (1, 0)))  # loop at the pivot
 
 
 def test_transition_single_neighbor_has_no_loop_free_pairing():
-    assert [c for c in transition_classes(dipole(4), 0) if not any(c[1])] == []
+    assert transition_classes(dipole(4), 0, loops=False) == ()
 
 
 def test_apply_transition_preserves_surviving_degrees():
@@ -451,9 +463,7 @@ def test_apply_transition_preserves_surviving_degrees():
     ):
         before = g.degrees()
         expect = [before[u] for u in range(g.n) if u != v]
-        for D, L, coeff in transition_classes(g, v):
-            if any(L):
-                continue
+        for D, _, coeff in transition_classes(g, v, loops=False):
             assert coeff > 0
             h = apply_transition(g, v, D)
             assert h.n == g.n - 1
