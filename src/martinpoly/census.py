@@ -60,24 +60,31 @@ def record_to_graph(record):
 
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 _RESIDUE = re.compile(r"([0-9]+) mod ([0-9]+)")
 # the task grammar of both _compute_task and the cache: M, M<r>, poly,
 # perm and c2@<p>, with r and p written without leading zeros
 _TASK = re.compile(r"M(?P<r>[1-9][0-9]*)?|poly|perm|c2@(?P<p>[1-9][0-9]*)")
 
 
+def _is_rational(text):
+    """Whether text is a rational as str(Fraction) writes it: in lowest
+    terms, with no leading zero, no "-0" and no denominator 1."""
+    return bool(_RATIONAL.fullmatch(text)) and str(Fraction(text)) == text
+
+
 def _valid_value(task, value):
-    """Whether value has the form _compute_task gives task: a rational for
-    M and M<r>, rationals joined by commas for poly, and "<r> mod <m>" with
-    0 <= r < m for perm and c2@<p>, where m must be the prime p."""
+    """Whether value is written as _compute_task writes task's values: a
+    rational for M and M<r>, rationals joined by commas for poly, and
+    "<r> mod <m>" with 0 <= r < m for perm and c2@<p>, where m must be the
+    prime p."""
     parsed = _TASK.fullmatch(task)
     if not parsed:
         return False
     if task.startswith("M"):
-        return bool(_RATIONAL.fullmatch(value))
+        return _is_rational(value)
     if task == "poly":
-        return all(_RATIONAL.fullmatch(c) for c in value.split(","))
+        return all(_is_rational(c) for c in value.split(","))
     residue = _RESIDUE.fullmatch(value)
     if not residue:
         return False
@@ -85,7 +92,7 @@ def _valid_value(task, value):
     p = parsed["p"]
     if p and (m != int(p) or not residues.is_prime(m)):
         return False
-    return r < m
+    return r < m and "%d mod %d" % (r, m) == value
 
 
 def _cache_fields(line):
@@ -254,10 +261,9 @@ def _suite_identities(max_vertices):
         for g in families.regular_multigraphs(n, 4):
             if not is_connected(g):
                 continue
-            a = martin.martin_invariant(g)
-            b = martin.martin_invariant(g, pivot_policy="first")
-            ok = ok and a == b
-    _check(ok, "pivot choice does not change the invariant", failures)
+            ok = ok and martin.martin_invariant(g) == \
+                oracle.invariant_from_polynomial(martin.martin_polynomial(g), g)
+    _check(ok, "recursion matches the polynomial's derivative", failures)
     return failures
 
 
@@ -377,10 +383,19 @@ def main(argv=None):
         records = parse_graph_file(args.input)
     except (OSError, ValueError) as exc:
         error("--input: %s" % exc)
-    cache = InvariantCache(args.cache)
-    computed = compute_batch(records, tasks, cache)
-    out = open(args.out, "w") if args.out else sys.stdout
+    # an unusable --cache or --out fails here, before any value is computed
     try:
+        cache = InvariantCache(args.cache)
+        if args.cache:
+            open(args.cache, "a").close()
+    except OSError as exc:
+        error("--cache: %s" % exc)
+    try:
+        out = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        error("--out: %s" % exc)
+    try:
+        computed = compute_batch(records, tasks, cache)
         if args.verb == "compute":
             _write_tsv(computed, tasks, out)
         else:

@@ -18,7 +18,7 @@ from . import polynomial as poly
 from .multigraph import (Multigraph, _classes, apply_transition,
                          canonical_form, connected_components, duplicate,
                          induced_subgraph, regular_degree,
-                         transition_classes)
+                         regular_half_degree, transition_classes)
 from .structure import EdgeCut, _all_cuts, _vertices, split_edge_cut
 
 _INVARIANT_MEMO = {}
@@ -35,7 +35,7 @@ def _normalize(x):
     return x
 
 
-def _pick_pivot(g, policy, with_loops):
+def _pick_pivot(g, with_loops):
     """The loop-free vertex with the fewest transition classes, counting
     only the loop-free ones when with_loops is unset.  For the invariant
     (with_loops unset), ties go to the vertex with the most adjacent
@@ -44,8 +44,6 @@ def _pick_pivot(g, policy, with_loops):
     k-bundles and small cuts, which the invariant recursion settles without
     expanding.  The polynomial recursion has no such shortcut and keeps the
     lowest label; so do the remaining ties."""
-    if policy == "first":
-        return 0
     adj = g.adjacency()
     best, best_rank = None, None
     for v in range(g.n):
@@ -61,14 +59,6 @@ def _pick_pivot(g, policy, with_loops):
         if best_rank is None or rank < best_rank:
             best, best_rank = v, rank
     return best
-
-
-def _policy_memo(policy, shared):
-    """The memo a pivot policy's recursion uses: the shared one for the
-    default policy, a fresh one for "first"."""
-    if policy not in ("fewest-classes", "first"):
-        raise ValueError("unknown pivot policy %r" % (policy,))
-    return shared if policy == "fewest-classes" else {}
 
 
 def _memo_key(g):
@@ -95,7 +85,7 @@ def _loop_factor(looped):
     return out
 
 
-def _mpoly(g, policy, memo):
+def _mpoly(g):
     comps = connected_components(g)
     factor = None
     if g.loops and g.n > 1 and len(comps) == 1:
@@ -106,20 +96,19 @@ def _mpoly(g, policy, memo):
                                            for v, c in g.loops.items())))
         g = Multigraph(g.n, g.mult, {})
     key = _memo_key(g)
-    result = memo.get(key)
+    result = _POLY_MEMO.get(key)
     if result is None:
-        result = memo[key] = _expand_polynomial(g, comps, policy, memo)
+        result = _POLY_MEMO[key] = _expand_polynomial(g, comps)
     return result if factor is None else poly.mul(factor, result)
 
 
-def _expand_polynomial(g, comps, policy, memo):
+def _expand_polynomial(g, comps):
     """m of g, which is disconnected (with components comps), a rose, or
     connected and loop-free."""
     if len(comps) > 1:
         result = (1,)
         for comp in comps:
-            result = poly.mul(result, _mpoly(induced_subgraph(g, comp)[0],
-                                             policy, memo))
+            result = poly.mul(result, _mpoly(induced_subgraph(g, comp)[0]))
         for _ in range(len(comps) - 1):
             result = poly.mul(result, (-2, 1))
         return result
@@ -130,28 +119,28 @@ def _expand_polynomial(g, comps, policy, memo):
         # a rose with k loops: x(x+2)...(x+2k-4), the loop factor of k-1
         # loops at degree 2k
         return _loop_factor(((2 * k, k - 1),))
-    pivot = _pick_pivot(g, policy, with_loops=True)
+    pivot = _pick_pivot(g, with_loops=True)
     result = ()
     for D, L, coeff in transition_classes(g, pivot):
         child = apply_transition(g, pivot, D, L)
-        result = poly.add(result, poly.scale(_mpoly(child, policy, memo), coeff))
+        result = poly.add(result, poly.scale(_mpoly(child), coeff))
     return result
 
 
-def martin_polynomial(g, pivot_policy="fewest-classes"):
+def martin_polynomial(g):
     """Exact transition-system generating polynomial m(g, x): the sum of
     (x-2)^(circuits-1) over all transition systems."""
     if g.n == 0:
         raise ValueError("empty graph")
     if any(d % 2 for d in g.degrees()):
         raise ValueError("all vertex degrees must be even")
-    return _mpoly(g, pivot_policy, _policy_memo(pivot_policy, _POLY_MEMO))
+    return _mpoly(g)
 
 
-def circuit_partition_polynomial(g, pivot_policy="fewest-classes"):
+def circuit_partition_polynomial(g):
     """J(g, x) = x * m(g, x + 2); its linear coefficient counts Eulerian
     circuits."""
-    m = martin_polynomial(g, pivot_policy)
+    m = martin_polynomial(g)
     return poly.mul((0, 1), poly.shift(m, 2))
 
 
@@ -175,7 +164,7 @@ def _k4_closed_form(g, k):
     return num // den
 
 
-def _minv(g, k, policy, memo):
+def _minv(g, k):
     """Invariant of a loop-free 2k-regular graph with >= 3 vertices.
 
     M vanishes when some proper cut has fewer than 2k edges, and factors as
@@ -205,13 +194,13 @@ def _minv(g, k, policy, memo):
         # g1 is the triangle on the bundle's ends and the contracted rest,
         # with M = 1
         g2 = split_edge_cut(g, EdgeCut(bundle, 2 * k))[1]
-        return factorial(k) * _minv(g2, k, policy, memo)
+        return factorial(k) * _minv(g2, k)
     if len(connected_components(g)) > 1:
         return 0
     if g.n == 4:
         return _k4_closed_form(g, k)
     key = _memo_key(g)
-    got = memo.get(key)
+    got = _INVARIANT_MEMO.get(key)
     if got is not None:
         return got
     # one scan of the cuts of size <= 2k: first defect or first nontrivial
@@ -219,44 +208,39 @@ def _minv(g, k, policy, memo):
     shortcut_side = None
     for side, size, count in _all_cuts(g, 2 * k):
         if size < 2 * k:
-            memo[key] = 0
+            _INVARIANT_MEMO[key] = 0
             return 0
         if 2 <= count <= g.n - 2:
             shortcut_side = side
             break
     if shortcut_side is not None:
         g1, g2 = split_edge_cut(g, EdgeCut(_vertices(shortcut_side), 2 * k))
-        result = factorial(k) * _minv(g1, k, policy, memo) \
-            * _minv(g2, k, policy, memo)
-        memo[key] = result
+        result = factorial(k) * _minv(g1, k) * _minv(g2, k)
+        _INVARIANT_MEMO[key] = result
         return result
-    pivot = _pick_pivot(g, policy, with_loops=False)
+    pivot = _pick_pivot(g, with_loops=False)
     result = 0
     for D, _, coeff in transition_classes(g, pivot, False):
-        result += coeff * _minv(apply_transition(g, pivot, D), k, policy, memo)
-    memo[key] = result
+        result += coeff * _minv(apply_transition(g, pivot, D), k)
+    _INVARIANT_MEMO[key] = result
     return result
 
 
-def martin_invariant(g, pivot_policy="fewest-classes"):
+def martin_invariant(g):
     """Exact Martin invariant of a 2k-regular multigraph: the normalized
     derivative of the Martin polynomial at 4-2k, computed by the recursion.
 
     Integer for three or more vertices; 2^k/(2k)! for the k-rose and 1/k!
     for the 2k-dipole.
     """
-    d = regular_degree(g)
-    if d == 0 or d % 2:
-        raise ValueError("the Martin invariant needs positive even degree")
-    k = d // 2
-    memo = _policy_memo(pivot_policy, _INVARIANT_MEMO)
+    k = regular_half_degree(g)
     if g.n == 1:
         return _normalize(Fraction(2 ** k, factorial(2 * k)))
     if g.loops:
         return 0
     if g.n == 2:
         return _normalize(Fraction(1, factorial(k)))
-    return _minv(g, k, pivot_policy, memo)
+    return _minv(g, k)
 
 
 def martin_sequence(g, r_max):

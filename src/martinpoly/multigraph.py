@@ -51,13 +51,6 @@ class Multigraph:
 
     # -- basic queries -------------------------------------------------
 
-    def degree(self, v):
-        d = 2 * self.loops.get(v, 0)
-        for (a, b), m in self.mult.items():
-            if a == v or b == v:
-                d += m
-        return d
-
     def degrees(self):
         d = [2 * self.loops.get(v, 0) for v in range(self.n)]
         for (a, b), m in self.mult.items():
@@ -75,15 +68,9 @@ class Multigraph:
             self._adj = adj
         return self._adj
 
-    def neighbors(self, v):
-        return self.adjacency()[v]
-
     def edge_count(self):
         """Number of edge instances, loops counted once each."""
         return sum(self.mult.values()) + sum(self.loops.values())
-
-    def has_loops(self):
-        return bool(self.loops)
 
     def edge_instances(self):
         """All edge instances as triples (u, v, i); loops appear as (v, v, i)."""
@@ -186,6 +173,15 @@ def regular_degree(g):
         raise ValueError("need a nonempty regular graph, not degrees %s"
                          % sorted(degs))
     return degs.pop()
+
+
+def regular_half_degree(g):
+    """k for a 2k-regular graph with k >= 1; ValueError when g is empty or
+    irregular, or its degree is zero or odd."""
+    d = regular_degree(g)
+    if d == 0 or d % 2:
+        raise ValueError("need a positive even degree, not %d" % d)
+    return d // 2
 
 
 # -- surgery ----------------------------------------------------------
@@ -303,7 +299,7 @@ def transition_classes(g, v, loops=True):
     or with loops unset only the loop-free ones."""
     if g.loops.get(v, 0):
         raise ValueError("pivot has a self-loop")
-    adj = g.neighbors(v)
+    adj = g.adjacency()[v]
     d = tuple(adj[w] for w in sorted(adj))
     if sum(d) % 2:
         raise ValueError("pivot has odd degree")
@@ -316,7 +312,7 @@ def apply_transition(g, v, D, L=None):
     i-th."""
     if g.loops.get(v, 0):
         raise ValueError("pivot has a self-loop")
-    adj = g.neighbors(v)
+    adj = g.adjacency()[v]
     nbrs = sorted(adj)
     m = len(nbrs)
     L = L or (0,) * m

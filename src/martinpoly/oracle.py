@@ -331,7 +331,7 @@ def martin_brute_force(g, budget=10 ** 8):
         while len(counts) < circuits:
             counts.append(0)
         counts[circuits - 1] += 1
-    m_poly = poly.shifted_power_basis(counts, -2)
+    m_poly = poly.shift(counts, -2)
     return MartinValue(m_poly, invariant_from_polynomial(m_poly, g))
 
 

@@ -43,21 +43,16 @@ def derivative(p):
     return trim([i * a for i, a in enumerate(p)][1:])
 
 
-def shifted_power_basis(counts, a):
-    """Sum of counts[j] * (x + a)^j as plain coefficients."""
+def shift(p, a):
+    """Coefficients of p(x + a): the sum of p[j] * (x + a)^j."""
     out = ()
     power = (1,)
     base = (a, 1)
-    for j, c in enumerate(counts):
+    for j, c in enumerate(p):
         if c:
             out = add(out, scale(power, c))
         power = mul(power, base)
     return out
-
-
-def shift(p, a):
-    """Coefficients of p(x + a)."""
-    return shifted_power_basis(p, a)
 
 
 def to_string(p, var="x"):

@@ -10,7 +10,8 @@ from math import comb, factorial
 
 from .martin import martin_invariant
 from .multigraph import (Multigraph, canonical_form, duplicate,
-                         induced_subgraph, is_connected, regular_degree)
+                         induced_subgraph, is_connected, regular_degree,
+                         regular_half_degree)
 from .oracle import BudgetExceeded, MarkedGraph, count_tree_forest_partitions
 
 ResidueReport = namedtuple("ResidueReport", ["modulus", "residue", "provenance"])
@@ -32,13 +33,6 @@ def is_prime(n):
 
 
 # -- graph permanent ------------------------------------------------------
-
-
-def _regular_k(g):
-    d = regular_degree(g)
-    if d % 2 or d == 0:
-        raise ValueError("need positive even degree")
-    return d // 2
 
 
 def _ryser_permanent(rows):
@@ -97,12 +91,6 @@ def _ryser_permanent(rows):
             total += prod if (n - taken) % 2 == 0 else -prod
 
 
-def default_orientation(g, vinf):
-    """One direction flag per edge instance of g not incident to vinf, in
-    edge-instance order: 0 orients the instance from its smaller endpoint."""
-    return [0 for (u, v, _) in g.edge_instances() if u != vinf and v != vinf]
-
-
 def graph_permanent(g, v0, vinf, orientation=None):
     """Exact permanent of the k-fold stacked reduced incidence matrix of
     g minus vinf (rows: vertices other than v0 and vinf; columns: remaining
@@ -113,7 +101,7 @@ def graph_permanent(g, v0, vinf, orientation=None):
     The stacked matrix holds k copies of each of its n-2 base rows, so
     _ryser_permanent takes (k+1)^(n-2) terms rather than 2^(k(n-2)): 5^6
     against 2^24 for the doubled C8(1,2)."""
-    k = _regular_k(g)
+    k = regular_half_degree(g)
     if v0 == vinf or not (0 <= v0 < g.n and 0 <= vinf < g.n):
         raise ValueError("v0 and vinf must be distinct vertices")
     if g.loops.get(vinf, 0):
@@ -153,7 +141,7 @@ def permanent_square_residue(g, v0=None, vinf=None, orientation=None):
     """Perm(g)^2 mod (k+1); the square kills the sign ambiguity, so the
     residue is independent of all choices.  For composite k+1 the residue
     is trivially zero and reported as such without computing."""
-    k = _regular_k(g)
+    k = regular_half_degree(g)
     modulus = k + 1
     if not is_prime(modulus):
         return ResidueReport(modulus, 0,
@@ -176,7 +164,7 @@ def permanent_square_residue(g, v0=None, vinf=None, orientation=None):
 def extended_permanent(g, r_list):
     """Squared permanent residues of the powers g^[r], modulus k*r + 1; every
     requested modulus must be prime."""
-    k = _regular_k(g)
+    k = regular_half_degree(g)
     out = []
     for r in r_list:
         modulus = k * r + 1
@@ -446,7 +434,7 @@ def c2_from_trees_forests(g, v, w, p):
     if g.mult.get(e, 0) != 1:
         raise ValueError("v and w must be joined by exactly one edge")
     marks = []
-    for x, mult in sorted(g.neighbors(w).items()):
+    for x, mult in sorted(g.adjacency()[w].items()):
         if x != v:
             marks.extend([x] * mult)
     if len(marks) != 3 or len(set(marks)) != 3:

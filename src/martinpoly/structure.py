@@ -13,7 +13,8 @@ import itertools
 from collections import namedtuple
 
 from .multigraph import (Multigraph, canonical_form, connected_components,
-                         induced_subgraph, regular_degree)
+                         induced_subgraph, regular_degree,
+                         regular_half_degree)
 
 EdgeCut = namedtuple("EdgeCut", ["side", "size"])
 
@@ -26,11 +27,11 @@ def _cut_size(g, side):
     return w
 
 
-def _all_cuts(g, bound=None):
+def _all_cuts(g, bound):
     """Yield (side, size, count) for each proper bipartition whose cut has
-    at most `bound` edges (every one when bound is None): side is a bitmask
-    of the vertices on vertex 0's side, count their number, size the cut's
-    edge count with multiplicity.  Loops never cross a cut.
+    at most `bound` edges: side is a bitmask of the vertices on vertex 0's
+    side, count their number, size the cut's edge count with multiplicity.
+    Loops never cross a cut.
 
     Branch and bound: the vertices join vertex 0's side or the rest in
     breadth-first order from 0.  An unplaced vertex with weights a and b
@@ -52,8 +53,6 @@ def _all_cuts(g, bound=None):
     # position p's edges to later positions
     later = [[(pos[u], m) for u, m in adj[v].items() if pos[u] > p]
              for p, v in enumerate(order)]
-    if bound is None:
-        bound = sum(g.mult.values())
     # each position's edge weight into the placed side and into the rest
     ins, out = [0] * n, [0] * n
     for u, m in later[0]:
@@ -173,9 +172,7 @@ def split_edge_cut(g, cut):
 
 
 def _decompose_graphs(g, rng=None):
-    d = regular_degree(g)
-    if d % 2 or d == 0:
-        raise ValueError("decomposition needs even positive degree")
+    d = 2 * regular_half_degree(g)
     if g.n < 3:
         raise ValueError("decomposition needs at least 3 vertices")
     if edge_connectivity(g) != d:

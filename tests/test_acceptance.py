@@ -315,7 +315,7 @@ def test_criterion_08_structural_identities(acceptance, small_multigraphs,
         pools[7] = seven_vertex_multigraphs
         for n in (5, 6, 7):
             for g in pools[n]:
-                if g.has_loops() or edge_connectivity(g) != 4:
+                if g.loops or edge_connectivity(g) != 4:
                     continue
                 m = martin_invariant(g)
                 bound = 2 ** (n - 3)

@@ -3,6 +3,7 @@ and the command-line entry point."""
 
 import pytest
 
+from martinpoly import census
 from martinpoly.census import (
     GraphRecord,
     InvariantCache,
@@ -136,7 +137,9 @@ def test_cache_drops_values_that_do_not_parse_for_their_task(tmp_path):
     graphs.write_text(_graph_line("octa", octahedron()))
     key = canonical_form(octahedron()).hex()
     bad = ["foo\tbar", "perm\tgarbage", "c2@3\t1 mod 7", "M\tfourteen",
-           "M0\t1", "poly\t1,,2", "perm\t3 mod 3", "c2@4\t1 mod 4"]
+           "M0\t1", "poly\t1,,2", "perm\t3 mod 3", "c2@4\t1 mod 4",
+           "M\t1/0", "M2\t4032/2", "poly\t0,036,15", "perm\t01 mod 3",
+           "c2@3\t1 mod 03"]
     good = ["M\t14", "M2\t84096", "poly\t0,8,6", "c2@2\t1 mod 2"]
     path = tmp_path / "cache.tsv"
     path.write_text("".join("%s\t%s\n" % (key, line) for line in bad + good))
@@ -292,13 +295,20 @@ def test_cli_compute_writes_tsv_and_reruns_identically(tmp_path):
     (["--rmax", "0"], "--rmax must be at least 1, not 0"),
     (["--input", "missing.txt"], "--input: [Errno 2] No such file"),
     (["--input", "bad.txt"], "bad.txt:1: odd number of endpoints"),
+    (["--cache", "."], "--cache: [Errno 21] Is a directory"),
+    (["--cache", "missing/cache.tsv"], "--cache: [Errno 2] No such file"),
+    (["--out", "missing/out.tsv"], "--out: [Errno 2] No such file"),
 ], ids=["primes-word", "primes-negative", "primes-zero", "rmax-negative",
-        "rmax-zero", "input-missing", "input-malformed"])
+        "rmax-zero", "input-missing", "input-malformed", "cache-directory",
+        "cache-missing-directory", "out-missing-directory"])
 def test_cli_rejects_bad_arguments_with_one_line(tmp_path, monkeypatch,
                                                  capsys, args, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "graphs.txt").write_text(_graph_line("octa", octahedron()))
     (tmp_path / "bad.txt").write_text("a: 0 1 2\n")
+    # every bad argument is rejected before any value is computed
+    monkeypatch.setattr(census, "compute_batch",
+                        lambda *args: pytest.fail("computed a value"))
     for verb in ("compute", "report"):
         with pytest.raises(SystemExit) as exc:
             main([verb, "--input", "graphs.txt"] + args)

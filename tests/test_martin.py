@@ -164,29 +164,38 @@ def test_pinned_sequence_of_a_cyclically_6_connected_10_vertex_graph():
 # ----------------------------------------------------------- recursion behavior
 
 
-def test_pivot_policy_independence():
-    rng = random.Random(2026)
-    pool = generated(4) + generated(5) + rng.sample(generated(6), 30)
-    pool += generated(3, degree=6) + rng.sample(generated(4, degree=6), 15)
-    for g in pool:
-        assert martin_polynomial(g, "first") == martin_polynomial(g)
-        assert martin_invariant(g, "first") == martin_invariant(g)
-
-
-def test_unknown_pivot_policy_is_rejected():
-    # also where the recursion settles the graph without picking a pivot
-    for g in (duplicate(complete_graph(3), 2), dipole(4), k4_112(),
-              duplicate(cycle(6), 2), octahedron()):
-        with pytest.raises(ValueError):
-            martin_invariant(g, "bogus")
-    for g in (rose(2), octahedron()):
-        with pytest.raises(ValueError):
-            martin_polynomial(g, "bogus")
-
-
 def _fresh_memos(monkeypatch):
     for name in ("_FRONT", "_INVARIANT_MEMO", "_POLY_MEMO"):
         monkeypatch.setattr(martin, name, {})
+
+
+def _vertex_zero_pivots(monkeypatch):
+    """From here on both recursions expand vertex 0 at every node, with cold
+    memos, so no value computed under the default pivots is reused."""
+    _fresh_memos(monkeypatch)
+    monkeypatch.setattr(martin, "_pick_pivot", lambda g, with_loops: 0)
+
+
+def test_pivot_policy_independence(monkeypatch):
+    rng = random.Random(2026)
+    pool = generated(4) + generated(5) + rng.sample(generated(6), 30)
+    pool += generated(3, degree=6) + rng.sample(generated(4, degree=6), 15)
+    expected = [(martin_polynomial(g), martin_invariant(g)) for g in pool]
+    _vertex_zero_pivots(monkeypatch)
+    for g, values in zip(pool, expected):
+        assert (martin_polynomial(g), martin_invariant(g)) == values, g
+
+
+def test_unknown_pivot_policy_is_rejected():
+    # the recursions take no pivot choice, also where they settle the graph
+    # without picking a pivot
+    for g in (duplicate(complete_graph(3), 2), dipole(4), k4_112(),
+              duplicate(cycle(6), 2), octahedron()):
+        with pytest.raises(TypeError):
+            martin_invariant(g, "bogus")
+    for g in (rose(2), octahedron()):
+        with pytest.raises(TypeError):
+            martin_polynomial(g, "bogus")
 
 
 def test_labelled_repeat_computes_no_canonical_form(monkeypatch):
@@ -242,10 +251,10 @@ def _bundle_across_a_weak_cut():
                       + [(0, 5), (0, 5)])
 
 
-def test_derivative_consistency():
+def test_derivative_consistency(monkeypatch):
     # the normalized polynomial derivative, a route with no cut or bundle
-    # shortcuts, reproduces the reduced invariant recursion under both pivot
-    # policies
+    # shortcuts, reproduces the reduced invariant recursion under the
+    # default pivots and under vertex-0 pivots
     from martinpoly.oracle import invariant_from_polynomial
 
     pool = [g for n in (3, 4, 5, 6) for g in generated(n)]
@@ -262,10 +271,13 @@ def test_derivative_consistency():
         perm = list(range(weak.n))
         rng.shuffle(perm)
         pool.append(relabel(weak, perm))
-    for g in pool:
-        expected = invariant_from_polynomial(martin_polynomial(g), g)
-        assert martin_invariant(g) == expected, g
-        assert martin_invariant(g, "first") == expected, g
+    expected = [invariant_from_polynomial(martin_polynomial(g), g)
+                for g in pool]
+    for g, value in zip(pool, expected):
+        assert martin_invariant(g) == value, g
+    _vertex_zero_pivots(monkeypatch)
+    for g, value in zip(pool, expected):
+        assert martin_invariant(g) == value, g
 
 
 def test_polynomial_divisibility_by_shifted_factors():
@@ -307,7 +319,7 @@ def test_high_multiplicity_forces_divisibility():
 def test_invariant_vanishes_on_loops_and_weak_cuts():
     for n in (4, 5, 6):
         for g in generated(n):
-            if g.has_loops() or edge_connectivity(g) < 4:
+            if g.loops or edge_connectivity(g) < 4:
                 assert martin_invariant(g) == 0
 
 

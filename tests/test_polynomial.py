@@ -10,7 +10,6 @@ from martinpoly.polynomial import (
     mul,
     scale,
     shift,
-    shifted_power_basis,
     to_string,
     trim,
 )
@@ -59,7 +58,7 @@ def test_shift_is_composition():
 def test_shifted_power_basis_definition():
     # 2(x+3)^0 + 5(x+3)^2 evaluated directly
     counts = (2, 0, 5)
-    p = shifted_power_basis(counts, 3)
+    p = shift(counts, 3)
     for x in range(-5, 6):
         assert evaluate(p, x) == 2 + 5 * (x + 3) ** 2
 

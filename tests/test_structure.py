@@ -93,7 +93,10 @@ def _random_regular_graphs():
 
 
 def _scanned(g, bound=None):
-    """The cuts _all_cuts(g, bound) yields, as side -> size, each once."""
+    """The cuts _all_cuts(g, bound) yields, as side -> size, each once;
+    every proper bipartition's when bound is None."""
+    if bound is None:
+        bound = sum(g.mult.values())
     scanned = {}
     for side, size, count in _all_cuts(g, bound):
         vs = frozenset(_vertices(side))
@@ -438,7 +441,7 @@ def test_totally_decomposable_lower_bound():
     for n in (5, 6):
         seen_equal = seen_strict = False
         for g in generated(n):
-            if g.has_loops() or edge_connectivity(g) != 4:
+            if g.loops or edge_connectivity(g) != 4:
                 continue
             m = martin_invariant(g)
             bound = 2 ** (n - 3)
