@@ -121,7 +121,10 @@ class InvariantCache:
         self.data = {}
         if path and os.path.exists(path):
             dirty = False
-            with open(path) as fh:
+            # bytes that do not decode become lone surrogates, which no
+            # field's ASCII grammar admits, so their line is dropped as
+            # malformed instead of failing the whole load
+            with open(path, errors="surrogateescape") as fh:
                 for line in fh:
                     fields = _cache_fields(line)
                     if fields is None:

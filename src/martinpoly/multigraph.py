@@ -345,16 +345,38 @@ def apply_transition(g, v, D, L=None):
 
 
 def _refine(adj, cells):
-    """Stabilize an ordered partition under neighborhood multiplicity counts."""
+    """Stabilize an ordered partition under neighborhood multiplicity counts.
+
+    The first cell whose vertices do not all have one signature splits into
+    the classes of equal signature, in increasing signature order, each
+    keeping its vertices in cell order, and the scan starts again.  A
+    vertex's signature lists, in increasing index c over the cells it has
+    neighbours in, (-c, its number of neighbours in cell c, their sorted
+    multiplicities), so it costs the vertex's own adjacency, not n.
+
+    It sorts and ties exactly as the dense signature, one sorted length-|C|
+    list of multiplicities per cell C, zeros included, would.  Within one
+    cell that list is zeros followed by the sorted nonzero multiplicities:
+    more neighbours in the cell compare larger, and equal counts compare by
+    the multiplicities.  Where two vertices agree on every earlier cell, the
+    one with neighbours in a cell the other has none in compares larger,
+    hence -c.  So the ordered partitions, and with them the search tree,
+    the automorphisms found and the key bytes, are the dense signature's."""
+    where = [0] * len(adj)
     while True:
+        for ci, cell in enumerate(cells):
+            for v in cell:
+                where[v] = ci
         for ci, cell in enumerate(cells):
             if len(cell) == 1:
                 continue
             sigs = {}
             for v in cell:
-                row = adj[v]
-                sig = tuple(tuple(sorted(row.get(u, 0) for u in other))
-                            for other in cells)
+                by_cell = {}
+                for u, m in adj[v].items():
+                    by_cell.setdefault(where[u], []).append(m)
+                sig = tuple((-c, len(ms), tuple(sorted(ms)))
+                            for c, ms in sorted(by_cell.items()))
                 sigs.setdefault(sig, []).append(v)
             if len(sigs) > 1:
                 cells[ci:ci + 1] = [sigs[s] for s in sorted(sigs)]

@@ -50,6 +50,25 @@ def five_r_cut():
     return from_edges(7, edges)
 
 
+def random_12_vertex():
+    """networkx.random_regular_graph(4, 12, seed=12), kept as a fixed edge
+    list so that no networkx version can change it."""
+    return from_edges(12, [
+        (0, 3), (0, 5), (0, 7), (0, 10), (1, 4), (1, 8), (1, 9), (1, 10),
+        (2, 3), (2, 6), (2, 7), (2, 8), (3, 4), (3, 9), (4, 7), (4, 10),
+        (5, 6), (5, 8), (5, 11), (6, 8), (6, 9), (7, 11), (9, 11), (10, 11)])
+
+
+def random_18_vertex():
+    """networkx.random_regular_graph(4, 18, seed=18), as a fixed edge list."""
+    return from_edges(18, [
+        (0, 1), (0, 5), (0, 10), (0, 14), (1, 8), (1, 11), (1, 16), (2, 5),
+        (2, 8), (2, 10), (2, 12), (3, 6), (3, 9), (3, 12), (3, 17), (4, 11),
+        (4, 13), (4, 16), (4, 17), (5, 6), (5, 15), (6, 14), (6, 17), (7, 8),
+        (7, 11), (7, 12), (7, 14), (8, 15), (9, 11), (9, 13), (9, 17),
+        (10, 14), (10, 15), (12, 13), (13, 16), (15, 16)])
+
+
 def glued_k5_octahedron():
     """8-vertex 4-regular graph built by gluing K5 and K_{2,2,2} along a
     shared triangle of cut vertices 0,1,2 (the triangle's own edges removed

@@ -130,6 +130,26 @@ def test_cache_skips_garbage_lines(tmp_path):
         ["0a\tM\t6", "0c\tpoly\t0,36,15"]
 
 
+def test_cache_drops_lines_that_are_not_utf8(tmp_path):
+    # an undecodable byte costs its own line, never the load, and a value
+    # is never read from such a line
+    graphs = tmp_path / "graphs.txt"
+    graphs.write_text(_graph_line("octa", octahedron()))
+    key = canonical_form(octahedron()).hex().encode()
+    path = tmp_path / "cache.tsv"
+    # 15 is not M of the octahedron, so an output of 15 comes from the cache
+    path.write_bytes(b"\xff\xfe garbage\n" + key + b"\tM\t15\n" +
+                     key + b"\tM2\t84\xff096\n")
+    out = tmp_path / "out.tsv"
+    assert main(["compute", "--input", str(graphs), "--tasks", "M,M2",
+                 "--cache", str(path), "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    cells = dict(zip(header.split("\t"), row.split("\t")))
+    assert (cells["M"], cells["M2"]) == ("15", "84096")
+    assert sorted(path.read_bytes().decode().splitlines()) == [
+        key.decode() + "\tM\t15", key.decode() + "\tM2\t84096"]
+
+
 def test_cache_drops_values_that_do_not_parse_for_their_task(tmp_path):
     # a cached line is served only for a known task and a value of that
     # task's form; compute must answer as if the other lines were absent

@@ -43,6 +43,7 @@ from conftest import (
     generated,
     k3_113,
     k4_112,
+    random_12_vertex,
 )
 
 
@@ -137,14 +138,9 @@ def test_martin_sequence():
 
 
 def test_pinned_sequence_of_a_random_12_vertex_graph():
-    # networkx.random_regular_graph(4, 12, seed=12); the values are those of
-    # the recursion before k-bundles were split off ahead of the canonical
-    # form, which took about 20 s for M(G^[3])
-    g = from_edges(12, [
-        (0, 3), (0, 5), (0, 7), (0, 10), (1, 4), (1, 8), (1, 9), (1, 10),
-        (2, 3), (2, 6), (2, 7), (2, 8), (3, 4), (3, 9), (4, 7), (4, 10),
-        (5, 6), (5, 8), (5, 11), (6, 8), (6, 9), (7, 11), (9, 11), (10, 11)])
-    assert martin_sequence(g, 3) == [
+    # the values are those of the recursion before k-bundles were split off
+    # ahead of the canonical form, which took about 20 s for M(G^[3])
+    assert martin_sequence(random_12_vertex(), 3) == [
         4280, 1924469536849920, 7860907058744035326321380818944]
 
 

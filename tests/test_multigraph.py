@@ -10,6 +10,7 @@ from martinpoly.multigraph import (
     Multigraph,
     RotationSystem,
     _classes,
+    _refine,
     apply_transition,
     canonical_form,
     delete_vertex,
@@ -42,6 +43,8 @@ from conftest import (
     generated,
     k3_113,
     k4_112,
+    random_12_vertex,
+    random_18_vertex,
 )
 
 
@@ -280,6 +283,88 @@ def test_canonical_key_bytes_are_pinned():
                       for g in generated(n, degree=degree))
         got[degree, n] = hashlib.sha256("\n".join(keys).encode()).hexdigest()
     assert got == _KEY_PINS
+
+
+def _batch_scale_graphs():
+    """C7(1,2)..C18(1,2), plain and doubled, and the fixed 12- and 18-vertex
+    graphs: the sizes at which the recursions' canonical forms are made."""
+    out = []
+    for n in range(7, 19):
+        g = circulant(n, (1, 2))
+        out += [g, duplicate(g, 2)]
+    return out + [random_12_vertex(), random_18_vertex()]
+
+
+def _relabellings(g, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(3):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append(relabel(g, perm))
+    return out
+
+
+# sha256 of the canonical_form keys of three seeded relabellings of each
+# _batch_scale_graphs() graph, in order, each key followed by a newline
+_BATCH_KEY_PIN = (
+    "57aaaa6c51e252b3a7242d4611c06c7bc2ae9a92b9fe800eeb459d2e0397a4e3")
+
+
+def test_canonical_key_bytes_are_pinned_at_batch_scale():
+    digest = hashlib.sha256()
+    for i, g in enumerate(_batch_scale_graphs()):
+        for h in _relabellings(g, i):
+            digest.update(canonical_form(h) + b"\n")
+    assert digest.hexdigest() == _BATCH_KEY_PIN
+
+
+def _dense_refine(adj, cells):
+    """The reference for _refine: each vertex of a cell is signed by one
+    sorted list of its multiplicities to every cell, zeros included."""
+    while True:
+        for ci, cell in enumerate(cells):
+            if len(cell) == 1:
+                continue
+            sigs = {}
+            for v in cell:
+                row = adj[v]
+                sig = tuple(tuple(sorted(row.get(u, 0) for u in other))
+                            for other in cells)
+                sigs.setdefault(sig, []).append(v)
+            if len(sigs) > 1:
+                cells[ci:ci + 1] = [sigs[s] for s in sorted(sigs)]
+                break
+        else:
+            return cells
+
+
+def test_sparse_refine_matches_the_dense_reference():
+    # the seed (degree, loops) partition of canonical_form, and each child
+    # of its refinement that individualizes one vertex of the first
+    # non-singleton cell, as the search does
+    pool = [g for n in range(1, 7) for g in generated(n)]
+    pool += [g for n in range(1, 6) for g in generated(n, degree=6)]
+    pool += _batch_scale_graphs()
+    for i, g in enumerate(pool):
+        for h in [g] + _relabellings(g, i):
+            adj, degs = h.adjacency(), h.degrees()
+            seed = {}
+            for v in range(h.n):
+                seed.setdefault((degs[v], h.loops.get(v, 0)), []).append(v)
+            seed = [seed[k] for k in sorted(seed)]
+            refined = _dense_refine(adj, [list(c) for c in seed])
+            assert _refine(adj, seed) == refined, h
+            target = next((ci for ci, c in enumerate(refined) if len(c) > 1),
+                          None)
+            if target is None:
+                continue
+            cell = refined[target]
+            for v in cell:
+                child = [list(c) for c in refined]
+                child[target:target + 1] = [[v], [u for u in cell if u != v]]
+                want = _dense_refine(adj, [list(c) for c in child])
+                assert _refine(adj, child) == want, (h, v)
 
 
 def test_duplicate_carries_the_canonical_form():

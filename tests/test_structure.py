@@ -34,6 +34,7 @@ from conftest import (
     generated,
     glued_k5_octahedron,
     k3_113,
+    random_18_vertex,
     twist_pair_ten_vertex,
 )
 
@@ -205,14 +206,7 @@ def test_recursion_above_sixteen_vertices(monkeypatch):
                         split_edge_cut(h, cut))
     assert martin_invariant(g) == expected
     assert EdgeCut(tuple(range(9)), 4) in splits
-    # networkx.random_regular_graph(4, 18, seed=18)
-    h = from_edges(18, [
-        (0, 1), (0, 5), (0, 10), (0, 14), (1, 8), (1, 11), (1, 16), (2, 5),
-        (2, 8), (2, 10), (2, 12), (3, 6), (3, 9), (3, 12), (3, 17), (4, 11),
-        (4, 13), (4, 16), (4, 17), (5, 6), (5, 15), (6, 14), (6, 17), (7, 8),
-        (7, 11), (7, 12), (7, 14), (8, 15), (9, 11), (9, 13), (9, 17),
-        (10, 14), (10, 15), (12, 13), (13, 16), (15, 16)])
-    assert martin_invariant(h) == 1355406
+    assert martin_invariant(random_18_vertex()) == 1355406
 
 
 def test_martin_vanishes_exactly_below_full_connectivity():
