@@ -309,7 +309,10 @@ def transition_classes(g, v, loops=True):
 def apply_transition(g, v, D, L=None):
     """Remove the pivot v and rewire: D[i][j] new edges between its i-th and
     j-th neighbours (in increasing order), and L[i] new self-loops at the
-    i-th."""
+    i-th.  D must be symmetric with a zero diagonal, D and L nonnegative,
+    and row i must use the i-th neighbour's multiplicity exactly.  Every
+    vertex u > v becomes u - 1, and the child's edges and loops keep the
+    order of g's, as induced_subgraph would give them, the new ones after."""
     if g.loops.get(v, 0):
         raise ValueError("pivot has a self-loop")
     adj = g.adjacency()[v]
@@ -317,21 +320,24 @@ def apply_transition(g, v, D, L=None):
     m = len(nbrs)
     L = L or (0,) * m
     if len(D) != m or len(L) != m or any(
-            len(D[i]) != m or D[i][i] or sum(D[i]) + 2 * L[i] != adj[nbrs[i]]
+            len(D[i]) != m or D[i][i] or L[i] < 0
+            or sum(D[i]) + 2 * L[i] != adj[nbrs[i]]
+            or any(D[i][j] < 0 or D[i][j] != D[j][i] for j in range(i))
             for i in range(m)):
         raise ValueError("invalid transition matrix for this pivot")
-    h, lab = induced_subgraph(g, [u for u in range(g.n) if u != v])
-    mult = dict(h.mult)
-    loops = dict(h.loops)
+    mult = {(a - (a > v), b - (b > v)): c for (a, b), c in g.mult.items()
+            if a != v and b != v}
+    loops = {u - (u > v): c for u, c in g.loops.items()}
+    new = [u - (u > v) for u in nbrs]
     for i in range(m):
-        a = lab[nbrs[i]]
+        a = new[i]
         if L[i]:
             loops[a] = loops.get(a, 0) + L[i]
         for j in range(i + 1, m):
             if D[i][j]:
-                e = (a, lab[nbrs[j]])
+                e = (a, new[j])
                 mult[e] = mult.get(e, 0) + D[i][j]
-    return Multigraph(h.n, mult, loops)
+    return Multigraph(g.n - 1, mult, loops)
 
 
 # -- canonical form ----------------------------------------------------
@@ -349,10 +355,13 @@ def _refine(adj, cells):
 
     The first cell whose vertices do not all have one signature splits into
     the classes of equal signature, in increasing signature order, each
-    keeping its vertices in cell order, and the scan starts again.  A
-    vertex's signature lists, in increasing index c over the cells it has
-    neighbours in, (-c, its number of neighbours in cell c, their sorted
-    multiplicities), so it costs the vertex's own adjacency, not n.
+    keeping its vertices in cell order, and the scan starts again.  A cell is
+    named by its start s, the position of its first vertex in the partition;
+    a split renames only the vertices of the cell it splits.  A vertex's
+    signature is one flat tuple listing, in increasing start s over the
+    cells it has neighbours in, -s, its number of neighbours in that cell
+    and their sorted multiplicities, so it costs the vertex's own adjacency,
+    not n.
 
     It sorts and ties exactly as the dense signature, one sorted length-|C|
     list of multiplicities per cell C, zeros included, would.  Within one
@@ -360,26 +369,45 @@ def _refine(adj, cells):
     more neighbours in the cell compare larger, and equal counts compare by
     the multiplicities.  Where two vertices agree on every earlier cell, the
     one with neighbours in a cell the other has none in compares larger,
-    hence -c.  So the ordered partitions, and with them the search tree,
-    the automorphisms found and the key bytes, are the dense signature's."""
+    hence -s; the start increases strictly with the cell's index, so -s
+    orders as the index would.  The count comes before the multiplicities,
+    so two flat signatures that agree up to a count list equally many
+    multiplicities after it, and the next -s of one meets the next -s of
+    the other: flat signatures compare and tie exactly as the per-cell
+    entries (-s, count, multiplicities) would in a tuple of them.  So the
+    ordered partitions, and with them the search tree, the automorphisms
+    found and the key bytes, are the dense signature's."""
     where = [0] * len(adj)
+    start = 0
+    for cell in cells:
+        for v in cell:
+            where[v] = start
+        start += len(cell)
     while True:
+        end = 0
         for ci, cell in enumerate(cells):
-            for v in cell:
-                where[v] = ci
-        for ci, cell in enumerate(cells):
+            start, end = end, end + len(cell)
             if len(cell) == 1:
                 continue
             sigs = {}
             for v in cell:
-                by_cell = {}
-                for u, m in adj[v].items():
-                    by_cell.setdefault(where[u], []).append(m)
-                sig = tuple((-c, len(ms), tuple(sorted(ms)))
-                            for c, ms in sorted(by_cell.items()))
-                sigs.setdefault(sig, []).append(v)
+                sig = []
+                last = -1
+                for s, m in sorted([(where[u], m) for u, m in adj[v].items()]):
+                    if s != last:
+                        last = s
+                        at = len(sig) + 1
+                        sig += (-s, 0)
+                    sig[at] += 1
+                    sig.append(m)
+                sigs.setdefault(tuple(sig), []).append(v)
             if len(sigs) > 1:
-                cells[ci:ci + 1] = [sigs[s] for s in sorted(sigs)]
+                parts = [sigs[k] for k in sorted(sigs)]
+                cells[ci:ci + 1] = parts
+                for part in parts:
+                    for v in part:
+                        where[v] = start
+                    start += len(part)
                 break
         else:
             return cells

@@ -339,6 +339,26 @@ def _dense_refine(adj, cells):
             return cells
 
 
+def _recursion_nodes():
+    """The loop-free transition children, at every pivot, one and two
+    transitions deep below C7(1,2)^[2], C8(1,2)^[2], K5^[3] and the fixed
+    12-vertex graph doubled: nodes of the invariant recursion, with the
+    unequal multiplicities that the recursion keys."""
+    out = {}
+    for g in (duplicate(circulant(7, (1, 2)), 2),
+              duplicate(circulant(8, (1, 2)), 2),
+              duplicate(complete_graph(5), 3),
+              duplicate(random_12_vertex(), 2)):
+        level = [g]
+        for _ in range(2):
+            level = [apply_transition(h, v, D) for h in level
+                     for v in range(h.n)
+                     for D, _, _ in transition_classes(h, v, loops=False)]
+            for h in level:
+                out.setdefault(h.key(), h)
+    return list(out.values())
+
+
 def test_sparse_refine_matches_the_dense_reference():
     # the seed (degree, loops) partition of canonical_form, and each child
     # of its refinement that individualizes one vertex of the first
@@ -346,25 +366,25 @@ def test_sparse_refine_matches_the_dense_reference():
     pool = [g for n in range(1, 7) for g in generated(n)]
     pool += [g for n in range(1, 6) for g in generated(n, degree=6)]
     pool += _batch_scale_graphs()
-    for i, g in enumerate(pool):
-        for h in [g] + _relabellings(g, i):
-            adj, degs = h.adjacency(), h.degrees()
-            seed = {}
-            for v in range(h.n):
-                seed.setdefault((degs[v], h.loops.get(v, 0)), []).append(v)
-            seed = [seed[k] for k in sorted(seed)]
-            refined = _dense_refine(adj, [list(c) for c in seed])
-            assert _refine(adj, seed) == refined, h
-            target = next((ci for ci, c in enumerate(refined) if len(c) > 1),
-                          None)
-            if target is None:
-                continue
-            cell = refined[target]
-            for v in cell:
-                child = [list(c) for c in refined]
-                child[target:target + 1] = [[v], [u for u in cell if u != v]]
-                want = _dense_refine(adj, [list(c) for c in child])
-                assert _refine(adj, child) == want, (h, v)
+    cases = [h for i, g in enumerate(pool) for h in [g] + _relabellings(g, i)]
+    for h in cases + _recursion_nodes():
+        adj, degs = h.adjacency(), h.degrees()
+        seed = {}
+        for v in range(h.n):
+            seed.setdefault((degs[v], h.loops.get(v, 0)), []).append(v)
+        seed = [seed[k] for k in sorted(seed)]
+        refined = _dense_refine(adj, [list(c) for c in seed])
+        assert _refine(adj, seed) == refined, h
+        target = next((ci for ci, c in enumerate(refined) if len(c) > 1),
+                      None)
+        if target is None:
+            continue
+        cell = refined[target]
+        for v in cell:
+            child = [list(c) for c in refined]
+            child[target:target + 1] = [[v], [u for u in cell if u != v]]
+            want = _dense_refine(adj, [list(c) for c in child])
+            assert _refine(adj, child) == want, (h, v)
 
 
 def test_duplicate_carries_the_canonical_form():
@@ -532,10 +552,56 @@ def test_transition_rejects_bad_pivots():
     looped = Multigraph(3, {(0, 1): 1, (0, 2): 1, (1, 2): 3}, {0: 1})
     with pytest.raises(ValueError):
         apply_transition(looped, 0, ((0, 1), (1, 0)))  # loop at the pivot
+    star = Multigraph(4, {(0, 1): 2, (0, 2): 2, (0, 3): 2})
+    with pytest.raises(ValueError):  # rows sum right, but D is asymmetric
+        apply_transition(star, 0, ((0, 2, 0), (0, 0, 2), (2, 0, 0)))
+    with pytest.raises(ValueError):  # symmetric, rows sum right, one -1
+        apply_transition(duplicate(complete_graph(5), 2), 0,
+                         ((0, 2, 1, -1), (2, 0, -1, 1),
+                          (1, -1, 0, 2), (-1, 1, 2, 0)))
+    looped_ends = Multigraph(3, {(0, 1): 2, (0, 2): 2}, {1: 1, 2: 1})
+    with pytest.raises(ValueError):  # rows sum right with L = -1 each
+        apply_transition(looped_ends, 0, ((0, 4), (4, 0)), (-1, -1))
 
 
 def test_transition_single_neighbor_has_no_loop_free_pairing():
     assert transition_classes(dipole(4), 0, loops=False) == ()
+
+
+def _two_step_transition(g, v, D, L):
+    """The reference for apply_transition: the induced subgraph without v,
+    then a second graph with the new edges and loops added."""
+    h, lab = induced_subgraph(g, [u for u in range(g.n) if u != v])
+    nbrs = sorted(g.adjacency()[v])
+    mult = dict(h.mult)
+    loops = dict(h.loops)
+    for i in range(len(nbrs)):
+        a = lab[nbrs[i]]
+        if L[i]:
+            loops[a] = loops.get(a, 0) + L[i]
+        for j in range(i + 1, len(nbrs)):
+            if D[i][j]:
+                e = (a, lab[nbrs[j]])
+                mult[e] = mult.get(e, 0) + D[i][j]
+    return Multigraph(h.n, mult, loops)
+
+
+def test_apply_transition_matches_the_two_step_reference():
+    # every transition class at every loop-free pivot; the dict order is
+    # compared too, so that every later walk over the child's edges and
+    # loops visits them in the order it did before
+    pool = [g for n in range(2, 7) for g in generated(n)]
+    pool += _batch_scale_graphs()
+    for g in pool:
+        for v in range(g.n):
+            if g.loops.get(v, 0):
+                continue
+            for D, L, _ in transition_classes(g, v):
+                got = apply_transition(g, v, D, L)
+                want = _two_step_transition(g, v, D, L)
+                assert got.n == want.n and got.key() == want.key()
+                assert list(got.mult.items()) == list(want.mult.items())
+                assert list(got.loops.items()) == list(want.loops.items())
 
 
 def test_apply_transition_preserves_surviving_degrees():
