@@ -23,7 +23,8 @@ InvariantRecord = namedtuple(
 
 def parse_graph_file(path):
     """One graph per nonempty, non-comment line: "name: u1 v1 u2 v2 ...".
-    Repeated pairs encode multiplicity, "u u" a self-loop."""
+    Repeated pairs encode multiplicity, "u u" a self-loop.  Endpoints are
+    ASCII integers; names hold no tab or comma, the output's separators."""
     records = []
     names = set()
     with open(path) as fh:
@@ -37,12 +38,19 @@ def parse_graph_file(path):
             name = name.strip()
             if not name:
                 raise ValueError("%s:%d: empty graph name" % (path, lineno))
+            if "\t" in name or "," in name:
+                raise ValueError("%s:%d: tab or comma in graph name %r"
+                                 % (path, lineno, name))
             if name in names:
                 raise ValueError("%s:%d: duplicate name %r" % (path, lineno, name))
             fields = rest.split()
             if len(fields) % 2:
                 raise ValueError("%s:%d: odd number of endpoints" % (path, lineno))
+            # int() alone would also take "1_0", "+3" and non-ASCII digits
+            joined = "".join(fields)
             try:
+                if not joined.isascii() or "_" in joined or "+" in joined:
+                    raise ValueError
                 ends = [int(f) for f in fields]
             except ValueError:
                 raise ValueError("%s:%d: non-integer endpoint" % (path, lineno))
@@ -203,7 +211,7 @@ def compute_batch(records, tasks, cache=None):
                 continue
             try:
                 value = _compute_task(g, task)
-            except (ValueError, ZeroDivisionError, oracle.BudgetExceeded) as exc:
+            except ValueError as exc:
                 errors[task] = str(exc)
                 continue
             values[task] = value

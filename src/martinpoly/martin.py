@@ -36,19 +36,17 @@ def _normalize(x):
 
 
 def _pick_pivot(g, with_loops):
-    """The loop-free vertex with the fewest transition classes, counting
-    only the loop-free ones when with_loops is unset.  For the invariant
-    (with_loops unset), ties go to the vertex with the most adjacent
-    neighbour pairs, i.e. the most triangles through it: its transitions
-    add edges to pairs that already have some, so the children carry more
-    k-bundles and small cuts, which the invariant recursion settles without
-    expanding.  The polynomial recursion has no such shortcut and keeps the
-    lowest label; so do the remaining ties."""
+    """The vertex of the loop-free g with the fewest transition classes,
+    counting only the loop-free ones when with_loops is unset.  For the
+    invariant (with_loops unset), ties go to the vertex with the most
+    adjacent neighbour pairs, i.e. the most triangles through it: its
+    transitions add edges to pairs that already have some, so the children
+    carry more k-bundles and small cuts, which the invariant recursion
+    settles without expanding.  The polynomial recursion has no such
+    shortcut and keeps the lowest label; so do the remaining ties."""
     adj = g.adjacency()
     best, best_rank = None, None
     for v in range(g.n):
-        if g.loops.get(v, 0):
-            continue
         nbrs = adj[v]
         score = len(_classes(tuple(sorted(nbrs.values())), with_loops))
         if best_rank is not None and score > best_rank[0]:

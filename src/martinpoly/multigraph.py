@@ -16,7 +16,6 @@ in this module.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import factorial
 
@@ -85,23 +84,9 @@ class Multigraph:
 
     def key(self):
         """Hashable identity of the labeled graph (not isomorphism-invariant):
-        the bytes n, the loop count of every vertex, then the upper triangle
-        of the multiplicity matrix row by row, or a tuple when n or a count
-        exceeds 255."""
+        its adjacency encoding under its own labels (see _encode)."""
         if self._key is None:
-            n = self.n
-            counts = itertools.chain(self.mult.values(), self.loops.values())
-            if n < 256 and max(counts, default=0) < 256:
-                out = bytearray(1 + n + n * (n - 1) // 2)
-                out[0] = n
-                for v, c in self.loops.items():
-                    out[1 + v] = c
-                for (u, v), m in self.mult.items():
-                    out[n + u * (2 * n - u - 1) // 2 + v - u] = m
-                self._key = bytes(out)
-            else:
-                self._key = (n, tuple(sorted(self.mult.items())),
-                             tuple(sorted(self.loops.items())))
+            self._key = _encode(self, range(self.n))
         return self._key
 
     def __eq__(self, other):
@@ -293,13 +278,20 @@ def _classes(d, loops=True):
     return tuple(out)
 
 
+def _pivot_adjacency(g, v):
+    """The neighbour -> multiplicity dict of v, a loop-free vertex of g."""
+    if not 0 <= v < g.n:
+        raise ValueError("pivot out of range: %r" % (v,))
+    if g.loops.get(v, 0):
+        raise ValueError("pivot has a self-loop")
+    return g.adjacency()[v]
+
+
 def transition_classes(g, v, loops=True):
     """The transition classes at the pivot v as (D, L, coeff) triples (see
     _classes), indexed by v's neighbours in increasing order: all of them,
     or with loops unset only the loop-free ones."""
-    if g.loops.get(v, 0):
-        raise ValueError("pivot has a self-loop")
-    adj = g.adjacency()[v]
+    adj = _pivot_adjacency(g, v)
     d = tuple(adj[w] for w in sorted(adj))
     if sum(d) % 2:
         raise ValueError("pivot has odd degree")
@@ -313,9 +305,7 @@ def apply_transition(g, v, D, L=None):
     and row i must use the i-th neighbour's multiplicity exactly.  Every
     vertex u > v becomes u - 1, and the child's edges and loops keep the
     order of g's, as induced_subgraph would give them, the new ones after."""
-    if g.loops.get(v, 0):
-        raise ValueError("pivot has a self-loop")
-    adj = g.adjacency()[v]
+    adj = _pivot_adjacency(g, v)
     nbrs = sorted(adj)
     m = len(nbrs)
     L = L or (0,) * m
@@ -413,19 +403,26 @@ def _refine(adj, cells):
             return cells
 
 
-def _encode(g, lab):
-    """Adjacency certificate of g under the labeling lab (lab[pos] = vertex)."""
+def _encode(g, at):
+    """Adjacency encoding of g under the labelling at (at[vertex] =
+    position): n, the loop count at every position, then the upper triangle
+    of the multiplicity matrix row by row, so the pair of positions i < j
+    sits at index n + i(2n - i - 1)/2 + j - i.  It is bytes when n and every
+    count are below 256 and a tuple of the same entries otherwise.  Bytes
+    compare as the sequences of their values and all encodings of one graph
+    have one length and one form, so two encodings of a graph compare and
+    tie exactly as their entry sequences do."""
     n = g.n
-    cert = [n]
-    cert.extend(g.loops.get(lab[i], 0) for i in range(n))
-    row = [0] * n
-    adj = g.adjacency()
-    for i in range(n):
-        ai = adj[lab[i]]
-        for j in range(i + 1, n):
-            row[j] = ai.get(lab[j], 0)
-        cert.extend(row[i + 1:])
-    return tuple(cert)
+    out = [0] * (1 + n + n * (n - 1) // 2)
+    out[0] = n
+    for v, c in g.loops.items():
+        out[1 + at[v]] = c
+    for (u, v), m in g.mult.items():
+        i, j = at[u], at[v]
+        if i > j:
+            i, j = j, i
+        out[n + i * (2 * n - i - 1) // 2 + j - i] = m
+    return bytes(out) if max(out) < 256 else tuple(out)
 
 
 def _orbit_reps(vertices, gens, prefix):
@@ -463,9 +460,6 @@ def canonical_form(g):
     if g._canon is not None:
         return g._canon
     n = g.n
-    if n == 0:
-        g._canon = b"0"
-        return g._canon
     adj = g.adjacency()
     # seed the partition with (degree, loop count) classes
     seed = {}
@@ -475,7 +469,6 @@ def canonical_form(g):
     cells = [seed[k] for k in sorted(seed)]
     cells = _refine(adj, cells)
 
-    best = [None]
     gens = []
     leaf_by_cert = {}
 
@@ -487,12 +480,11 @@ def canonical_form(g):
                 break
         if target is None:
             lab = [c[0] for c in cells]
-            cert = _encode(g, lab)
+            # sorting the positions by their vertex inverts lab
+            cert = _encode(g, sorted(range(n), key=lab.__getitem__))
             prev = leaf_by_cert.get(cert)
             if prev is None:
                 leaf_by_cert[cert] = lab
-                if best[0] is None or cert < best[0]:
-                    best[0] = cert
             else:
                 # two labelings with one certificate yield an automorphism
                 p = [0] * n
@@ -527,7 +519,7 @@ def canonical_form(g):
         for v, c in g.loops.items():
             if g.loops.get(p[v], 0) != c:
                 raise AssertionError("recorded automorphism moves a loop")
-    g._canon = ",".join(map(str, best[0])).encode()
+    g._canon = ",".join(map(str, min(leaf_by_cert))).encode()
     return g._canon
 
 

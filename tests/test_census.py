@@ -54,6 +54,11 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         ("a: 0 1 2\n", "1: odd number"),
         ("a: 0 x\n", "1: non-integer"),
         ("a: 0 -1\n", "1: negative"),
+        ("a: 0 1_0\n", "1: non-integer"),
+        ("a: 0 1\nb: +3 0\n", "2: non-integer"),
+        ("a: 0 \u0661\n", "1: non-integer"),  # ARABIC-INDIC DIGIT ONE
+        ("a\tb: 0 1\n", "1: tab or comma"),
+        ("ok: 0 1\na,b: 0 1\n", "2: tab or comma"),
     ]
     for text, fragment in cases:
         path = tmp_path / "bad.txt"

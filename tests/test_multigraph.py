@@ -10,6 +10,7 @@ from martinpoly.multigraph import (
     Multigraph,
     RotationSystem,
     _classes,
+    _encode,
     _refine,
     apply_transition,
     canonical_form,
@@ -387,6 +388,84 @@ def test_sparse_refine_matches_the_dense_reference():
             assert _refine(adj, child) == want, (h, v)
 
 
+def _dense_encode(g, lab):
+    """The reference for _encode: the tuple of n, the loop counts and the
+    upper triangle, read position by position through the labelling lab
+    (lab[pos] = vertex) with one adjacency lookup per pair."""
+    n = g.n
+    cert = [n]
+    cert.extend(g.loops.get(lab[i], 0) for i in range(n))
+    row = [0] * n
+    adj = g.adjacency()
+    for i in range(n):
+        ai = adj[lab[i]]
+        for j in range(i + 1, n):
+            row[j] = ai.get(lab[j], 0)
+        cert.extend(row[i + 1:])
+    return tuple(cert)
+
+
+def _big_graphs():
+    """Graphs whose encodings are tuples: K5^[300], a rose and a dipole with
+    more than 255 loops or edges, and a 260-cycle.  Each comes with a
+    neighbour not isomorphic to it: of the same degrees, but for the rose,
+    whose neighbour has one loop fewer and encodes as bytes."""
+    k5 = duplicate(complete_graph(5), 300)
+    shifted = dict(k5.mult)  # +1, -1 around the 4-cycle 0-1-2-3
+    for e, step in (((0, 1), 1), ((1, 2), -1), ((2, 3), 1), ((0, 3), -1)):
+        shifted[e] += step
+    return [(k5, Multigraph(5, shifted)),
+            (rose(256), rose(255)),
+            (dipole(300), Multigraph(2, {(0, 1): 298}, {0: 1, 1: 1})),
+            (cycle(260), from_edges(260, [(i, (i + 1) % 130 + 130 * (i >= 130))
+                                          for i in range(260)]))]
+
+
+def test_encode_matches_the_dense_reference():
+    # bytes exactly where n and every count fit in one, a tuple otherwise,
+    # with the reference's entries either way; key() is the identity's
+    rng = random.Random(415)
+    pool = [g for n in range(1, 7) for g in generated(n)]
+    pool += [g for n in range(1, 6) for g in generated(n, degree=6)]
+    pool += _batch_scale_graphs() + _recursion_nodes()
+    pool += [g for pair in _big_graphs() for g in pair]
+    for g in pool:
+        labs = [list(range(g.n))]
+        for _ in range(2):
+            labs.append(rng.sample(range(g.n), g.n))
+        for lab in labs:
+            at = [0] * g.n
+            for i, v in enumerate(lab):
+                at[v] = i
+            want = _dense_encode(g, lab)
+            got = _encode(g, at)
+            assert isinstance(got, bytes) == (max(want) < 256), g
+            assert tuple(got) == want, g
+        assert g.key() == _encode(g, labs[0])
+
+
+def test_canonical_form_of_tuple_encodings():
+    # the key is rendered from the tuple as from bytes: relabellings agree,
+    # the neighbour differs, and duplicate's carried form is a fresh one's
+    rng = random.Random(416)
+    for g, other in _big_graphs():
+        want = canonical_form(g)
+        assert not isinstance(g.key(), bytes)
+        for _ in range(3):
+            h = relabel(g, rng.sample(range(g.n), g.n))
+            assert canonical_form(h) == want
+        assert canonical_form(other) != want
+    assert canonical_form(duplicate(complete_graph(5), 300)) == \
+        b"5," + b",".join([b"0"] * 5 + [b"300"] * 10)
+    assert canonical_form(rose(256)) == b"1,256"
+    for g, r in ((complete_graph(5), 300), (rose(1), 256), (dipole(2), 150)):
+        canonical_form(g)
+        carried = duplicate(g, r)
+        assert carried._canon is not None
+        fresh = Multigraph(g.n, carried.mult, carried.loops)
+        assert carried._canon == canonical_form(fresh)
+
+
 def test_duplicate_carries_the_canonical_form():
     rng = random.Random(413)
     for g in [g for n in range(1, 7) for g in generated(n)]:
@@ -562,6 +641,13 @@ def test_transition_rejects_bad_pivots():
     looped_ends = Multigraph(3, {(0, 1): 2, (0, 2): 2}, {1: 1, 2: 1})
     with pytest.raises(ValueError):  # rows sum right with L = -1 each
         apply_transition(looped_ends, 0, ((0, 4), (4, 0)), (-1, -1))
+    k5 = complete_graph(5)
+    D = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+    for v in (-1, k5.n):  # pivots outside 0..n-1
+        with pytest.raises(ValueError):
+            transition_classes(k5, v)
+        with pytest.raises(ValueError):
+            apply_transition(k5, v, D)
 
 
 def test_transition_single_neighbor_has_no_loop_free_pairing():
