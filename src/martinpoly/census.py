@@ -63,7 +63,14 @@ def parse_graph_file(path):
 
 
 def record_to_graph(record):
+    """The record's graph on the vertices 0..(largest label).  A label below
+    the largest that no edge uses is an error: no task takes a vertex
+    without edges, and such vertices make canonical_form very slow."""
     n = 1 + max((max(u, v) for (u, v) in record.edges), default=0)
+    used = {v for e in record.edges for v in e}
+    for v in range(n):
+        if v not in used:
+            raise ValueError("vertex label %d is unused" % v)
     return from_edges(n, record.edges)
 
 

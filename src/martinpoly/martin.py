@@ -1,32 +1,36 @@
 """The Martin polynomial and Martin invariant of even multigraphs, computed
-by memoized vertex expansion, plus the handful of closed forms with known
+by one frontier elimination, plus the handful of closed forms with known
 values and the transition-counting symmetry factors.
 
-The invariant recursion works entirely in exact integers once the graph has
-at least three vertices; the one- and two-vertex values are the only
-fractional ones.
+Both values come from the transition recursion: removing a loop-free vertex
+v pairs up its half-edges, and each class of pairings adds edges (and, for
+the polynomial, self-loops) among v's neighbours.  _eliminate runs that
+recursion for every class at once, one vertex at a time in a fixed order:
+the frontier, or transfer-matrix, method of Sekine, Imai and Tani
+("Computing the Tutte polynomial of a graph of moderate size", ISAAC 1995).
+Once a prefix of the order is gone, the remaining graph is the input's
+induced subgraph on the rest plus the edges the transitions added, and those
+all join frontier vertices (remaining vertices next to an eliminated one).
+So the added edges alone identify a state: no vertex below the input needs a
+canonical form, a memo or a cut scan, and the order changes only the cost.
+
+The invariant's values are exact integers once the graph has at least three
+vertices; the one- and two-vertex values are the only fractional ones.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
 from math import comb, factorial
 
 from . import polynomial as poly
-from .multigraph import (Multigraph, _classes, apply_transition,
-                         canonical_form, connected_components, duplicate,
-                         induced_subgraph, regular_degree,
-                         regular_half_degree, transition_classes)
-from .structure import EdgeCut, _all_cuts, _vertices, split_edge_cut
+from .multigraph import (_classes, canonical_form, duplicate, regular_degree,
+                         regular_half_degree)
 
+# whole-input memos, canonical_form -> value; a class generator, a batch and
+# duplicate all hand over graphs whose canonical form is already cached
 _INVARIANT_MEMO = {}
 _POLY_MEMO = {}
-# labelled graph (Multigraph.key) -> canonical_form; the recursions reach the
-# same labelled node again when they remove one vertex set in another order,
-# and when M and the polynomial run on one graph
-_FRONT = {}
 
 
 def _normalize(x):
@@ -35,94 +39,147 @@ def _normalize(x):
     return x
 
 
-def _pick_pivot(g, with_loops):
-    """The vertex of the loop-free g with the fewest transition classes,
-    counting only the loop-free ones when with_loops is unset.  For the
-    invariant (with_loops unset), ties go to the vertex with the most
-    adjacent neighbour pairs, i.e. the most triangles through it: its
-    transitions add edges to pairs that already have some, so the children
-    carry more k-bundles and small cuts, which the invariant recursion
-    settles without expanding.  The polynomial recursion has no such
-    shortcut and keeps the lowest label; so do the remaining ties."""
+def _order(g):
+    """An elimination order of g's vertices with a narrow frontier.
+
+    From a start vertex, the greedy order eliminates next the vertex that
+    leaves the smallest frontier, then the one with the most eliminated
+    neighbours, then the lowest label; its width is its largest frontier.
+    Starts are tried in increasing number of neighbours, and the narrowest
+    order wins, the earliest among equals.  A start is abandoned once its
+    width reaches the best so far, and the search ends at a width equal to
+    the fewest neighbours of any vertex, since every order's first frontier
+    is its first vertex's neighbours."""
     adj = g.adjacency()
-    best, best_rank = None, None
-    for v in range(g.n):
-        nbrs = adj[v]
-        score = len(_classes(tuple(sorted(nbrs.values())), with_loops))
-        if best_rank is not None and score > best_rank[0]:
-            continue
-        triangles = 0 if with_loops else sum(
-            1 for a, b in combinations(nbrs, 2) if b in adj[a])
-        rank = (score, -triangles)
-        if best_rank is None or rank < best_rank:
-            best, best_rank = v, rank
+    n = g.n
+    best, best_width = None, n + 1
+    for start in sorted(range(n), key=lambda v: len(adj[v])):
+        order, gone, front, width = [], set(), set(), 0
+        v = start
+        while True:
+            order.append(v)
+            gone.add(v)
+            front.discard(v)
+            front.update(u for u in adj[v] if u not in gone)
+            width = max(width, len(front))
+            if width >= best_width or len(order) == n:
+                break
+            v = min((len(adj[w].keys() - gone - front) - (w in front),
+                     -len(adj[w].keys() & gone), w)
+                    for w in range(n) if w not in gone)[2]
+        if width < best_width:
+            best, best_width = order, width
+            if width == min(map(len, adj)):
+                break
     return best
 
 
-def _memo_key(g):
-    """canonical_form(g), through _FRONT."""
-    label = g.key()
-    key = _FRONT.get(label)
-    if key is None:
-        key = _FRONT[label] = canonical_form(g)
-    return key
+def _strip_loops(p, d, c):
+    """The coefficient list p times the factor J gains when c self-loops
+    leave a vertex of degree d: (x + d - 2 - 2t) for the t-th.  A loop's
+    two ends either pair with each other, closing a circuit, or sit inside
+    one of the other (d - 2 - 2t)/2 pairs at the vertex, in 2 ways."""
+    for t in range(c):
+        a = d - 2 - 2 * t
+        p = [a * x + y for x, y in zip(p + [0], [0] + p)]
+    return p
+
+
+def _eliminate(g, k=None):
+    """The transition recursion of g, run by eliminating its vertices along
+    _order(g).  A state is the sorted tuple of ((a, b), m): m edges added
+    between the frontier vertices a < b, and for the polynomial m self-loops
+    already stripped at a == b.
+
+    With k, g is loop-free and 2k-regular with n >= 3, and the result is M:
+    loop-free classes only, a child dropped once a pair holds more than k
+    edges (that pair's cut of 4k - 2m edges is below 2k, so M is 0), and
+    each state of the last 3 vertices, a triangle of k-bundles, counts 1.
+    Without k, the result is the coefficient list of J(g; x), the sum over
+    the transition systems T of x^c(T), c(T) the number of circuits: every
+    class, each self-loop stripped as it is made, and every vertex
+    eliminated."""
+    adj = g.adjacency()
+    order = _order(g)
+    rank = [0] * g.n
+    for i, v in enumerate(order):
+        rank[v] = i
+    loops = k is None
+    if loops:
+        degree = [sum(a.values()) for a in adj]  # with every loop stripped
+        value = [1]
+        for v, c in g.loops.items():
+            value = _strip_loops(value, degree[v] + 2 * c, c)
+        states = {(): value}
+        last = g.n
+    else:
+        states = {(): 1}
+        last = g.n - 3
+    for i, v in enumerate(order[:last]):
+        later = {u: m for u, m in adj[v].items() if rank[u] > i}
+        children = {}
+        for state, value in states.items():
+            nbrs = dict(later)
+            kept = {}
+            for e, m in state:
+                a, b = e
+                if a == v:
+                    if b != v:
+                        nbrs[b] = nbrs.get(b, 0) + m
+                elif b == v:
+                    nbrs[a] = nbrs.get(a, 0) + m
+                else:
+                    kept[e] = m
+            ns = sorted(nbrs)
+            last_loops = None
+            for D, L, coeff in _classes(tuple(nbrs[u] for u in ns), loops):
+                child = dict(kept)
+                capped = False
+                for p, a in enumerate(ns):
+                    row = D[p]
+                    for q in range(p + 1, len(ns)):
+                        if row[q]:
+                            e = (a, ns[q])
+                            m = child[e] = child.get(e, 0) + row[q]
+                            capped |= (not loops
+                                       and m + adj[a].get(ns[q], 0) > k)
+                if capped:
+                    continue
+                if not loops:
+                    key = tuple(sorted(child.items()))
+                    children[key] = children.get(key, 0) + coeff * value
+                    continue
+                if L != last_loops:  # _classes sorts the classes by L
+                    last_loops, term = L, value
+                    for p, c in enumerate(L):
+                        if c:
+                            term = _strip_loops(
+                                term, degree[ns[p]]
+                                - 2 * kept.get((ns[p], ns[p]), 0), c)
+                for p, c in enumerate(L):
+                    if c:
+                        e = (ns[p], ns[p])
+                        child[e] = kept.get(e, 0) + c
+                acc = children.setdefault(tuple(sorted(child.items())), [])
+                acc += [0] * (len(term) - len(acc))
+                for j, x in enumerate(term):
+                    acc[j] += coeff * x
+        states = children
+    if loops:
+        return states[()]
+    return sum(states.values())
 
 
 # -- Martin polynomial ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _loop_factor(looped):
-    """The factor of m that loops contribute, for the sorted (degree, loop
-    count) pairs of the looped vertices: (x + d - 4 - 2t) for the t-th of
-    c loops at a vertex of current degree d."""
-    out = (1,)
-    for d, c in looped:
-        for t in range(c):
-            out = poly.mul(out, (d - 4 - 2 * t, 1))
-    return out
-
-
 def _mpoly(g):
-    comps = connected_components(g)
-    factor = None
-    if g.loops and g.n > 1 and len(comps) == 1:
-        # strip self-loops before keying, so that every placement of loops
-        # on one loop-free graph shares its memo entry
-        degs = g.degrees()
-        factor = _loop_factor(tuple(sorted((degs[v], c)
-                                           for v, c in g.loops.items())))
-        g = Multigraph(g.n, g.mult, {})
-    key = _memo_key(g)
-    result = _POLY_MEMO.get(key)
-    if result is None:
-        result = _POLY_MEMO[key] = _expand_polynomial(g, comps)
-    return result if factor is None else poly.mul(factor, result)
-
-
-def _expand_polynomial(g, comps):
-    """m of g, which is disconnected (with components comps), a rose, or
-    connected and loop-free."""
-    if len(comps) > 1:
-        result = (1,)
-        for comp in comps:
-            result = poly.mul(result, _mpoly(induced_subgraph(g, comp)[0]))
-        for _ in range(len(comps) - 1):
-            result = poly.mul(result, (-2, 1))
-        return result
-    if g.n == 1:
-        k = g.loops.get(0, 0)
-        if k == 0:
-            raise ValueError("edgeless component has no Martin polynomial")
-        # a rose with k loops: x(x+2)...(x+2k-4), the loop factor of k-1
-        # loops at degree 2k
-        return _loop_factor(((2 * k, k - 1),))
-    pivot = _pick_pivot(g, with_loops=True)
-    result = ()
-    for D, L, coeff in transition_classes(g, pivot):
-        child = apply_transition(g, pivot, D, L)
-        result = poly.add(result, poly.scale(_mpoly(child), coeff))
-    return result
+    """m of g: J(x) = x m(x + 2), and J has no constant term."""
+    key = canonical_form(g)
+    got = _POLY_MEMO.get(key)
+    if got is None:
+        got = _POLY_MEMO[key] = poly.shift(_eliminate(g)[1:], -2)
+    return got
 
 
 def martin_polynomial(g):
@@ -130,8 +187,11 @@ def martin_polynomial(g):
     (x-2)^(circuits-1) over all transition systems."""
     if g.n == 0:
         raise ValueError("empty graph")
-    if any(d % 2 for d in g.degrees()):
+    degrees = g.degrees()
+    if any(d % 2 for d in degrees):
         raise ValueError("all vertex degrees must be even")
+    if 0 in degrees:
+        raise ValueError("edgeless component has no Martin polynomial")
     return _mpoly(g)
 
 
@@ -145,88 +205,19 @@ def circuit_partition_polynomial(g):
 # -- Martin invariant ----------------------------------------------------
 
 
-def _k4_closed_form(g, k):
-    """Loop-free regular 4-vertex multigraphs have opposite-edge multiplicity
-    pairs (a, b, c); the invariant is a!b!c!/((k-a)!(k-b)!(k-c)!).  Called
-    only after _minv's k-bundle pass, so every multiplicity is below k."""
-    a = g.mult.get((0, 1), 0)
-    b = g.mult.get((0, 2), 0)
-    c = g.mult.get((0, 3), 0)
-    if (g.mult.get((2, 3), 0) != a or g.mult.get((1, 3), 0) != b
-            or g.mult.get((1, 2), 0) != c or a + b + c != 2 * k):
-        raise ValueError("not a regular loop-free 4-vertex graph")
-    num = factorial(a) * factorial(b) * factorial(c)
-    den = factorial(k - a) * factorial(k - b) * factorial(k - c)
-    if num % den:
-        raise AssertionError("k4 closed form did not divide evenly")
-    return num // den
-
-
 def _minv(g, k):
-    """Invariant of a loop-free 2k-regular graph with >= 3 vertices.
-
-    M vanishes when some proper cut has fewer than 2k edges, and factors as
-    k! M(g1) M(g2) across a nontrivial 2k-cut S (split_edge_cut: g1 keeps S
-    and contracts the rest, g2 the other way round).  Two of the steps below
-    use a 2k-cut without first ruling out a smaller cut elsewhere: the
-    k-bundle pass, before any canonical form, and the cut scan, which stops
-    at the first defect or nontrivial 2k-cut.  That is sound because a cut
-    T with d(T) < 2k makes a factor vanish as well.  If T does not cross S,
-    then T or its complement lies inside S or inside the rest, and is a cut
-    of the same size in g1 or g2.  If T crosses S (all four corners S & T,
-    S - T, T - S and the rest nonempty), submodularity gives
-    d(S & T) + d(S | T) <= d(S) + d(T) < 4k, so d(S & T) < 2k, a proper cut
-    of g1 avoiding its contracted vertex, or d(S | T) < 2k, a proper cut of
-    g2 containing its contracted vertex.  Either way the product is 0, as M
-    of g is."""
-    if g.n == 3:
-        return 1
-    # k-bundles: a pair {u, v} joined by m edges has a cut of 4k - 2m
-    bundle = None
-    for e, m in g.mult.items():
-        if m > k:
-            return 0
-        if m == k and bundle is None:
-            bundle = e
-    if bundle is not None:
-        # g1 is the triangle on the bundle's ends and the contracted rest,
-        # with M = 1
-        g2 = split_edge_cut(g, EdgeCut(bundle, 2 * k))[1]
-        return factorial(k) * _minv(g2, k)
-    if len(connected_components(g)) > 1:
-        return 0
-    if g.n == 4:
-        return _k4_closed_form(g, k)
-    key = _memo_key(g)
+    """Invariant of a loop-free 2k-regular graph with >= 3 vertices."""
+    key = canonical_form(g)
     got = _INVARIANT_MEMO.get(key)
-    if got is not None:
-        return got
-    # one scan of the cuts of size <= 2k: first defect or first nontrivial
-    # 2k-cut
-    shortcut_side = None
-    for side, size, count in _all_cuts(g, 2 * k):
-        if size < 2 * k:
-            _INVARIANT_MEMO[key] = 0
-            return 0
-        if 2 <= count <= g.n - 2:
-            shortcut_side = side
-            break
-    if shortcut_side is not None:
-        g1, g2 = split_edge_cut(g, EdgeCut(_vertices(shortcut_side), 2 * k))
-        result = factorial(k) * _minv(g1, k) * _minv(g2, k)
-        _INVARIANT_MEMO[key] = result
-        return result
-    pivot = _pick_pivot(g, with_loops=False)
-    result = 0
-    for D, _, coeff in transition_classes(g, pivot, False):
-        result += coeff * _minv(apply_transition(g, pivot, D), k)
-    _INVARIANT_MEMO[key] = result
-    return result
+    if got is None:
+        got = _INVARIANT_MEMO[key] = _eliminate(g, k)
+    return got
 
 
 def martin_invariant(g):
     """Exact Martin invariant of a 2k-regular multigraph: the normalized
-    derivative of the Martin polynomial at 4-2k, computed by the recursion.
+    derivative of the Martin polynomial at 4-2k, computed by the transition
+    recursion.
 
     Integer for three or more vertices; 2^k/(2k)! for the k-rose and 1/k!
     for the 2k-dipole.

@@ -44,15 +44,12 @@ def derivative(p):
 
 
 def shift(p, a):
-    """Coefficients of p(x + a): the sum of p[j] * (x + a)^j."""
-    out = ()
-    power = (1,)
-    base = (a, 1)
-    for j, c in enumerate(p):
-        if c:
-            out = add(out, scale(power, c))
-        power = mul(power, base)
-    return out
+    """Coefficients of p(x + a), by Horner's rule."""
+    out = []
+    for c in reversed(p):
+        out = [a * x + y for x, y in zip(out + [0], [0] + out)]
+        out[0] += c
+    return trim(out)
 
 
 def to_string(p, var="x"):

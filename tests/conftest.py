@@ -69,6 +69,16 @@ def random_18_vertex():
         (10, 14), (10, 15), (12, 13), (13, 16), (15, 16)])
 
 
+def batch_scale_graphs():
+    """C7(1,2)..C18(1,2), plain and doubled, and the fixed 12- and 18-vertex
+    graphs: the sizes of the graphs `martinpoly compute` gets in a batch."""
+    out = []
+    for n in range(7, 19):
+        g = circulant(n, (1, 2))
+        out += [g, duplicate(g, 2)]
+    return out + [random_12_vertex(), random_18_vertex()]
+
+
 def glued_k5_octahedron():
     """8-vertex 4-regular graph built by gluing K5 and K_{2,2,2} along a
     shared triangle of cut vertices 0,1,2 (the triangle's own edges removed

@@ -1,6 +1,8 @@
 """Graph-file parsing, the invariant cache, batch computation, grouping,
 and the command-line entry point."""
 
+import time
+
 import pytest
 
 from martinpoly import census
@@ -253,6 +255,20 @@ def test_compute_batch_prefers_cache_hits():
     assert out[0].values["M2"] == "2016"  # computed, then stored
     assert cache.get(key, "M2") == "2016"
 
+
+
+def test_compute_batch_rejects_an_unused_vertex_label():
+    # labels 3..99 are unused; keying the 101-vertex graph they would make
+    # took minutes
+    doubled_triangle = [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)]
+    start = time.perf_counter()
+    [out] = compute_batch([GraphRecord("gap", doubled_triangle + [(0, 100)])],
+                          ["M", "poly"])
+    assert time.perf_counter() - start < 1
+    assert out.errors == {"graph": "vertex label 3 is unused"}
+    assert out.values == {} and out.key is None
+    with pytest.raises(ValueError, match="vertex label 0 is unused"):
+        record_to_graph(GraphRecord("empty", []))
 
 def test_group_by_invariant_puts_twisted_pair_together(tmp_path):
     g, s, side, sigma = twist_pair_ten_vertex()

@@ -1,12 +1,17 @@
-"""Martin polynomial and invariant: table values, recursion bases, closed
-forms, pivot independence, divisibility, and symmetry-factor bridges."""
+"""Martin polynomial and invariant: table values, bases, closed forms,
+order independence, agreement with the memoized recursion the frontier
+elimination replaced, divisibility, and symmetry-factor bridges."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from math import factorial
 
 import pytest
 
 from martinpoly import martin
+from martinpoly import polynomial as poly
 from martinpoly.families import (
     circulant,
     complete_graph,
@@ -27,16 +32,28 @@ from martinpoly.martin import (
     symmetry_factor,
 )
 from martinpoly.multigraph import (
+    Multigraph,
+    _classes,
     apply_transition,
+    canonical_form,
+    connected_components,
     duplicate,
     from_edges,
+    induced_subgraph,
     relabel,
     transition_classes,
 )
 from martinpoly.polynomial import evaluate
-from martinpoly.structure import edge_connectivity
+from martinpoly.structure import (
+    EdgeCut,
+    _all_cuts,
+    _vertices,
+    edge_connectivity,
+    split_edge_cut,
+)
 
 from conftest import (
+    batch_scale_graphs,
     dunce_cap,
     eight_regular_six_vertex,
     five_r_cut,
@@ -45,6 +62,148 @@ from conftest import (
     k4_112,
     random_12_vertex,
 )
+
+
+# ------------------------------------------------- the reference recursion
+#
+# The memoized vertex expansion that computed both values before the frontier
+# elimination: a canonically keyed memo per node, loops stripped before
+# keying, components multiplied out, and for the invariant the k-bundle pass,
+# the 4-vertex closed form and the cut shortcuts.  The differential tests run
+# the elimination against it.
+
+_REF_INVARIANT = {}
+_REF_POLY = {}
+# labelled graph (Multigraph.key) -> canonical_form
+_REF_FRONT = {}
+
+
+def _ref_pivot(g, with_loops):
+    """The vertex with the fewest transition classes; for the invariant, ties
+    go to the most triangles through it, then the lowest label."""
+    adj = g.adjacency()
+    best, best_rank = None, None
+    for v in range(g.n):
+        nbrs = adj[v]
+        score = len(_classes(tuple(sorted(nbrs.values())), with_loops))
+        if best_rank is not None and score > best_rank[0]:
+            continue
+        triangles = 0 if with_loops else sum(
+            1 for a, b in combinations(nbrs, 2) if b in adj[a])
+        rank = (score, -triangles)
+        if best_rank is None or rank < best_rank:
+            best, best_rank = v, rank
+    return best
+
+
+def _ref_key(g):
+    label = g.key()
+    key = _REF_FRONT.get(label)
+    if key is None:
+        key = _REF_FRONT[label] = canonical_form(g)
+    return key
+
+
+@lru_cache(maxsize=None)
+def _ref_loop_factor(looped):
+    """(x + d - 4 - 2t) for the t-th of c loops at a vertex of degree d, over
+    the sorted (degree, loop count) pairs of the looped vertices."""
+    out = (1,)
+    for d, c in looped:
+        for t in range(c):
+            out = poly.mul(out, (d - 4 - 2 * t, 1))
+    return out
+
+
+def reference_polynomial(g):
+    """m of g, an even graph with no edgeless vertex."""
+    comps = connected_components(g)
+    factor = None
+    if g.loops and g.n > 1 and len(comps) == 1:
+        degs = g.degrees()
+        factor = _ref_loop_factor(tuple(sorted((degs[v], c)
+                                               for v, c in g.loops.items())))
+        g = Multigraph(g.n, g.mult, {})
+    key = _ref_key(g)
+    result = _REF_POLY.get(key)
+    if result is None:
+        result = _REF_POLY[key] = _ref_expand_polynomial(g, comps)
+    return result if factor is None else poly.mul(factor, result)
+
+
+def _ref_expand_polynomial(g, comps):
+    if len(comps) > 1:
+        result = (1,)
+        for comp in comps:
+            result = poly.mul(result, reference_polynomial(
+                induced_subgraph(g, comp)[0]))
+        for _ in range(len(comps) - 1):
+            result = poly.mul(result, (-2, 1))
+        return result
+    if g.n == 1:
+        return _ref_loop_factor(((2 * g.loops[0], g.loops[0] - 1),))
+    pivot = _ref_pivot(g, with_loops=True)
+    result = ()
+    for D, L, coeff in transition_classes(g, pivot):
+        child = apply_transition(g, pivot, D, L)
+        result = poly.add(result, poly.scale(reference_polynomial(child),
+                                             coeff))
+    return result
+
+
+def _ref_k4_closed_form(g, k):
+    """a!b!c!/((k-a)!(k-b)!(k-c)!) for the opposite-pair multiplicities."""
+    a, b, c = (g.mult.get((0, j), 0) for j in (1, 2, 3))
+    return (factorial(a) * factorial(b) * factorial(c)
+            // (factorial(k - a) * factorial(k - b) * factorial(k - c)))
+
+
+def _ref_invariant(g, k):
+    """M of a loop-free 2k-regular graph with >= 3 vertices.  A k-bundle and
+    a nontrivial 2k-cut split M as k! M(g1) M(g2), and a smaller cut makes
+    it 0, also when another cut was split off first (by submodularity)."""
+    if g.n == 3:
+        return 1
+    bundle = None
+    for e, m in g.mult.items():
+        if m > k:
+            return 0
+        if m == k and bundle is None:
+            bundle = e
+    if bundle is not None:
+        g2 = split_edge_cut(g, EdgeCut(bundle, 2 * k))[1]
+        return factorial(k) * _ref_invariant(g2, k)
+    if len(connected_components(g)) > 1:
+        return 0
+    if g.n == 4:
+        return _ref_k4_closed_form(g, k)
+    key = _ref_key(g)
+    got = _REF_INVARIANT.get(key)
+    if got is not None:
+        return got
+    result = None
+    for side, size, count in _all_cuts(g, 2 * k):
+        if size < 2 * k:
+            result = 0
+            break
+        if 2 <= count <= g.n - 2:
+            g1, g2 = split_edge_cut(g, EdgeCut(_vertices(side), 2 * k))
+            result = factorial(k) * _ref_invariant(g1, k) * _ref_invariant(
+                g2, k)
+            break
+    if result is None:
+        pivot = _ref_pivot(g, with_loops=False)
+        result = sum(coeff * _ref_invariant(apply_transition(g, pivot, D), k)
+                     for D, _, coeff in transition_classes(g, pivot, False))
+    _REF_INVARIANT[key] = result
+    return result
+
+
+def reference_invariant(g):
+    """M of a 2k-regular graph, as martin_invariant takes it."""
+    if g.n < 3 or g.loops:
+        return martin_invariant(g)
+    return _ref_invariant(g, g.degrees()[0] // 2)
 
 
 # ------------------------------------------------------------ small polynomials
@@ -144,47 +303,81 @@ def test_pinned_sequence_of_a_random_12_vertex_graph():
         4280, 1924469536849920, 7860907058744035326321380818944]
 
 
-def test_pinned_sequence_of_a_cyclically_6_connected_10_vertex_graph():
-    # a cyclically 6-connected simple 4-regular graph; r = 4 is where the
-    # loop-making transition classes, which the invariant never expands,
-    # outnumber the loop-free ones
-    g = from_edges(10, [
+def _cyclically_6_connected_10_vertex():
+    """A cyclically 6-connected simple 4-regular graph on 10 vertices."""
+    return from_edges(10, [
         (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 6), (1, 8),
         (2, 4), (2, 5), (2, 9), (3, 4), (3, 9), (4, 8), (5, 6), (5, 7),
         (6, 7), (7, 8), (7, 9), (8, 9)])
+
+
+def test_pinned_sequence_of_a_cyclically_6_connected_10_vertex_graph():
+    # r = 4 is where the loop-making transition classes, which the invariant
+    # never expands, outnumber the loop-free ones
+    g = _cyclically_6_connected_10_vertex()
     assert martin_sequence(g, 4) == [
         608, 599176249344, 700491754121726949064704,
         89087784161686739313044005450426613760]
 
 
-# ----------------------------------------------------------- recursion behavior
+
+def test_pins_beyond_the_recursions_reach():
+    # each value agrees with the reference recursion above, which took
+    # minutes where the elimination takes about a second at most (see
+    # CHANGES.md); networkx.random_regular_graph(4, 24, seed=24) is kept as
+    # a fixed edge list
+    g = duplicate(_cyclically_6_connected_10_vertex(), 6)
+    assert martin_invariant(g) == int(
+        "266138944055042923909965254228101293818990954708830519296"
+        "00000000000000")
+    nx24 = from_edges(24, [
+        (0, 2), (0, 7), (0, 18), (0, 22), (1, 7), (1, 8), (1, 13), (1, 19),
+        (2, 11), (2, 20), (2, 23), (3, 5), (3, 18), (3, 19), (3, 21),
+        (4, 13), (4, 16), (4, 21), (4, 23), (5, 12), (5, 16), (5, 17),
+        (6, 8), (6, 15), (6, 22), (6, 23), (7, 9), (7, 18), (8, 20), (8, 21),
+        (9, 19), (9, 22), (9, 23), (10, 14), (10, 15), (10, 16), (10, 20),
+        (11, 13), (11, 14), (11, 17), (12, 15), (12, 19), (12, 22),
+        (13, 20), (14, 16), (14, 17), (15, 17), (18, 21)])
+    assert martin_invariant(nx24) == 690001160
+    assert martin_polynomial(cycle(600)) == (1,)
+
+# --------------------------------------------------------- elimination behavior
 
 
 def _fresh_memos(monkeypatch):
-    for name in ("_FRONT", "_INVARIANT_MEMO", "_POLY_MEMO"):
+    for name in ("_INVARIANT_MEMO", "_POLY_MEMO"):
         monkeypatch.setattr(martin, name, {})
 
 
-def _vertex_zero_pivots(monkeypatch):
-    """From here on both recursions expand vertex 0 at every node, with cold
-    memos, so no value computed under the default pivots is reused."""
+def _random_orders(monkeypatch, seed):
+    """From here on every elimination runs in a seeded random order, with
+    cold memos, so no value computed in the greedy order is reused."""
     _fresh_memos(monkeypatch)
-    monkeypatch.setattr(martin, "_pick_pivot", lambda g, with_loops: 0)
+    rng = random.Random(seed)
+
+    def order(g):
+        out = list(range(g.n))
+        rng.shuffle(out)
+        return out
+    monkeypatch.setattr(martin, "_order", order)
 
 
 def test_pivot_policy_independence(monkeypatch):
+    # the elimination order changes the cost only: seeded random orders give
+    # the greedy order's values
     rng = random.Random(2026)
     pool = generated(4) + generated(5) + rng.sample(generated(6), 30)
     pool += generated(3, degree=6) + rng.sample(generated(4, degree=6), 15)
     expected = [(martin_polynomial(g), martin_invariant(g)) for g in pool]
-    _vertex_zero_pivots(monkeypatch)
-    for g, values in zip(pool, expected):
-        assert (martin_polynomial(g), martin_invariant(g)) == values, g
+    for seed in (1, 2):
+        _random_orders(monkeypatch, seed)
+        for g, values in zip(pool, expected):
+            assert (martin_polynomial(g), martin_invariant(g)) == values, g
 
 
 def test_unknown_pivot_policy_is_rejected():
-    # the recursions take no pivot choice, also where they settle the graph
-    # without picking a pivot
+    # the public functions take the graph and nothing else, also where they
+    # settle the graph without an elimination
     for g in (duplicate(complete_graph(3), 2), dipole(4), k4_112(),
               duplicate(cycle(6), 2), octahedron()):
         with pytest.raises(TypeError):
@@ -195,31 +388,38 @@ def test_unknown_pivot_policy_is_rejected():
 
 
 def test_labelled_repeat_computes_no_canonical_form(monkeypatch):
-    # the recursion meets a labelled node again through the front, also
-    # with the memos cold
-    calls = []
+    # the memos key the input alone: the only canonical form either value
+    # computes is the input's own, and a repeat of the same graph object
+    # computes none
+    computed = []
     real = martin.canonical_form
-    monkeypatch.setattr(martin, "canonical_form",
-                        lambda g: calls.append(g) or real(g))
+
+    def spy(g):
+        if g._canon is None:
+            computed.append(g)
+        return real(g)
+    monkeypatch.setattr(martin, "canonical_form", spy)
     perm = [3, 7, 0, 8, 2, 5, 1, 6, 4]
 
-    def run():
-        g = relabel(circulant(9, (1, 2)), perm)
+    def run(g):
         return martin_invariant(g), martin_polynomial(g)
 
     _fresh_memos(monkeypatch)
-    first = run()
-    assert calls
-    for name in ("_INVARIANT_MEMO", "_POLY_MEMO"):
-        monkeypatch.setattr(martin, name, {})
-    calls.clear()
-    assert run() == first
-    assert calls == []
+    g = relabel(circulant(9, (1, 2)), perm)
+    first = run(g)
+    assert computed == [g]
+    computed.clear()
+    assert run(g) == first
+    assert computed == []
+    _fresh_memos(monkeypatch)
+    h = relabel(circulant(9, (1, 2)), perm)
+    assert run(h) == first
+    assert computed == [h]
 
 
 def test_front_cold_and_warm_give_the_same_values(monkeypatch):
-    # roses and disconnected graphs reach the polynomial's keys with their
-    # loops, so a front that confused loop counts would show here
+    # a memo hit returns what a cold run computes; roses and disconnected
+    # graphs are in the pool, with their loops
     pool = [g for degree, top in ((4, 5), (6, 4))
             for n in range(1, top + 1) for g in generated(n, degree=degree)]
 
@@ -235,6 +435,15 @@ def test_front_cold_and_warm_give_the_same_values(monkeypatch):
     assert [run(g) for g in pool] == cold
 
 
+def test_elimination_matches_the_reference_recursion():
+    pool = [g for n in range(1, 7) for g in generated(n)]
+    pool += [g for n in range(1, 6) for g in generated(n, degree=6)]
+    pool += generated(6, degree=6, loops=False) + batch_scale_graphs()
+    for g in pool:
+        assert martin_polynomial(g) == reference_polynomial(g), g
+        assert martin_invariant(g) == reference_invariant(g), g
+
+
 def _bundle_across_a_weak_cut():
     """Two copies of K5 less the edges uc and ud, with cd doubled, joined by
     a double edge between the two u's: 4-regular on 10 vertices.  The
@@ -248,9 +457,9 @@ def _bundle_across_a_weak_cut():
 
 
 def test_derivative_consistency(monkeypatch):
-    # the normalized polynomial derivative, a route with no cut or bundle
-    # shortcuts, reproduces the reduced invariant recursion under the
-    # default pivots and under vertex-0 pivots
+    # the normalized polynomial derivative, a route with no multiplicity
+    # cap, reproduces the invariant under the greedy order and under a
+    # seeded random order
     from martinpoly.oracle import invariant_from_polynomial
 
     pool = [g for n in (3, 4, 5, 6) for g in generated(n)]
@@ -271,7 +480,7 @@ def test_derivative_consistency(monkeypatch):
                 for g in pool]
     for g, value in zip(pool, expected):
         assert martin_invariant(g) == value, g
-    _vertex_zero_pivots(monkeypatch)
+    _random_orders(monkeypatch, 7)
     for g, value in zip(pool, expected):
         assert martin_invariant(g) == value, g
 

@@ -38,6 +38,7 @@ from martinpoly.families import (
 from martinpoly.martin import martin_polynomial
 
 from conftest import (
+    batch_scale_graphs,
     complement_c3_c4,
     dunce_cap,
     eight_regular_six_vertex,
@@ -45,7 +46,6 @@ from conftest import (
     k3_113,
     k4_112,
     random_12_vertex,
-    random_18_vertex,
 )
 
 
@@ -286,16 +286,6 @@ def test_canonical_key_bytes_are_pinned():
     assert got == _KEY_PINS
 
 
-def _batch_scale_graphs():
-    """C7(1,2)..C18(1,2), plain and doubled, and the fixed 12- and 18-vertex
-    graphs: the sizes at which the recursions' canonical forms are made."""
-    out = []
-    for n in range(7, 19):
-        g = circulant(n, (1, 2))
-        out += [g, duplicate(g, 2)]
-    return out + [random_12_vertex(), random_18_vertex()]
-
-
 def _relabellings(g, seed):
     rng = random.Random(seed)
     out = []
@@ -307,14 +297,14 @@ def _relabellings(g, seed):
 
 
 # sha256 of the canonical_form keys of three seeded relabellings of each
-# _batch_scale_graphs() graph, in order, each key followed by a newline
+# batch_scale_graphs() graph, in order, each key followed by a newline
 _BATCH_KEY_PIN = (
     "57aaaa6c51e252b3a7242d4611c06c7bc2ae9a92b9fe800eeb459d2e0397a4e3")
 
 
 def test_canonical_key_bytes_are_pinned_at_batch_scale():
     digest = hashlib.sha256()
-    for i, g in enumerate(_batch_scale_graphs()):
+    for i, g in enumerate(batch_scale_graphs()):
         for h in _relabellings(g, i):
             digest.update(canonical_form(h) + b"\n")
     assert digest.hexdigest() == _BATCH_KEY_PIN
@@ -366,7 +356,7 @@ def test_sparse_refine_matches_the_dense_reference():
     # non-singleton cell, as the search does
     pool = [g for n in range(1, 7) for g in generated(n)]
     pool += [g for n in range(1, 6) for g in generated(n, degree=6)]
-    pool += _batch_scale_graphs()
+    pool += batch_scale_graphs()
     cases = [h for i, g in enumerate(pool) for h in [g] + _relabellings(g, i)]
     for h in cases + _recursion_nodes():
         adj, degs = h.adjacency(), h.degrees()
@@ -427,7 +417,7 @@ def test_encode_matches_the_dense_reference():
     rng = random.Random(415)
     pool = [g for n in range(1, 7) for g in generated(n)]
     pool += [g for n in range(1, 6) for g in generated(n, degree=6)]
-    pool += _batch_scale_graphs() + _recursion_nodes()
+    pool += batch_scale_graphs() + _recursion_nodes()
     pool += [g for pair in _big_graphs() for g in pair]
     for g in pool:
         labs = [list(range(g.n))]
@@ -677,7 +667,7 @@ def test_apply_transition_matches_the_two_step_reference():
     # compared too, so that every later walk over the child's edges and
     # loops visits them in the order it did before
     pool = [g for n in range(2, 7) for g in generated(n)]
-    pool += _batch_scale_graphs()
+    pool += batch_scale_graphs()
     for g in pool:
         for v in range(g.n):
             if g.loops.get(v, 0):
