@@ -64,8 +64,8 @@ def parse_graph_file(path):
 
 def record_to_graph(record):
     """The record's graph on the vertices 0..(largest label).  A label below
-    the largest that no edge uses is an error: no task takes a vertex
-    without edges, and such vertices make canonical_form very slow."""
+    the largest that no edge uses is an error: every task rejects a vertex
+    without edges, so the record gets one graph error naming the label."""
     n = 1 + max((max(u, v) for (u, v) in record.edges), default=0)
     used = {v for e in record.edges for v in e}
     for v in range(n):

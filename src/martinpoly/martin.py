@@ -13,6 +13,10 @@ induced subgraph on the rest plus the edges the transitions added, and those
 all join frontier vertices (remaining vertices next to an eliminated one).
 So the added edges alone identify a state: no vertex below the input needs a
 canonical form, a memo or a cut scan, and the order changes only the cost.
+The order is computed once per graph and kept on it, and it fixes every
+step's frontier, so a state is a plain tuple of added multiplicities over
+that frontier's pairs in one fixed order, and a child is the slots that stay
+plus one class's nonzero entries: no dict and no sort per child.
 
 The invariant's values are exact integers once the graph has at least three
 vertices; the one- and two-vertex values are the only fractional ones.
@@ -21,6 +25,7 @@ vertices; the one- and two-vertex values are the only fractional ones.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from . import polynomial as poly
@@ -40,7 +45,9 @@ def _normalize(x):
 
 
 def _order(g):
-    """An elimination order of g's vertices with a narrow frontier.
+    """An elimination order of g's vertices with a narrow frontier, kept on
+    g as its canonical form is; duplicate hands it on, since the order reads
+    only which pairs are adjacent.
 
     From a start vertex, the greedy order eliminates next the vertex that
     leaves the smallest frontier, then the one with the most eliminated
@@ -50,28 +57,45 @@ def _order(g):
     width reaches the best so far, and the search ends at a width equal to
     the fewest neighbours of any vertex, since every order's first frontier
     is its first vertex's neighbours."""
+    if g._order is not None:
+        return g._order
     adj = g.adjacency()
     n = g.n
     best, best_width = None, n + 1
     for start in sorted(range(n), key=lambda v: len(adj[v])):
-        order, gone, front, width = [], set(), set(), 0
+        # per vertex: where it is (0 fresh, 1 on the frontier, 2 gone), its
+        # fresh neighbours and its gone ones
+        where = [0] * n
+        fresh = [len(a) for a in adj]
+        gone = [0] * n
+        order, size, width = [], 0, 0
         v = start
         while True:
             order.append(v)
-            gone.add(v)
-            front.discard(v)
-            front.update(u for u in adj[v] if u not in gone)
-            width = max(width, len(front))
+            if where[v]:
+                size -= 1
+            else:
+                for w in adj[v]:
+                    fresh[w] -= 1
+            where[v] = 2
+            for u in adj[v]:
+                gone[u] += 1
+                if not where[u]:
+                    where[u] = 1
+                    size += 1
+                    for w in adj[u]:
+                        fresh[w] -= 1
+            width = max(width, size)
             if width >= best_width or len(order) == n:
                 break
-            v = min((len(adj[w].keys() - gone - front) - (w in front),
-                     -len(adj[w].keys() & gone), w)
-                    for w in range(n) if w not in gone)[2]
+            v = min((fresh[w] - where[w], -gone[w], w)
+                    for w in range(n) if where[w] != 2)[2]
         if width < best_width:
             best, best_width = order, width
             if width == min(map(len, adj)):
                 break
-    return best
+    g._order = tuple(best)
+    return g._order
 
 
 def _strip_loops(p, d, c):
@@ -85,11 +109,33 @@ def _strip_loops(p, d, c):
     return p
 
 
+@lru_cache(maxsize=None)
+def _leave(w, t, loops):
+    """For a frontier of w vertices whose t-th leaves (none does at t = w):
+    the slots of the pairs that stay, in order, and the t-th's slots with
+    the others, in their order.  The positions x <= y, x < y without loops,
+    have the slot y(y + 1)/2 + x with loops and y(y - 1)/2 + x without: the
+    pairs column by column, so those that stay keep their order.  Cached,
+    as it depends on the sizes alone."""
+    half = 1 if loops else -1
+    keep = [y * (y + half) // 2 + x for y in range(w) if y != t
+            for x in range(y + loops) if x != t]
+    feed = [max(x, t) * (max(x, t) + half) // 2 + min(x, t)
+            for x in range(w) if x != t] if t < w else []
+    return keep, feed
+
+
 def _eliminate(g, k=None):
     """The transition recursion of g, run by eliminating its vertices along
-    _order(g).  A state is the sorted tuple of ((a, b), m): m edges added
-    between the frontier vertices a < b, and for the polynomial m self-loops
-    already stripped at a == b.
+    _order(g).  The order fixes the frontier before every step, so a state
+    is a tuple over the slots of that frontier's pairs (see _leave): the
+    edges added between two frontier vertices, and for the polynomial the
+    self-loops already stripped at one.  The eliminated vertex leaves the
+    frontier and those of its later neighbours not on it join at the end,
+    so a child is the state's slots that stay, then zeros, plus one class's
+    nonzero entries, each at the slot of its pair of neighbours.  The states
+    that agree on the pivot's slots give it one neighbour profile, and they
+    share one resolution of its classes into those (slot, count) additions.
 
     With k, g is loop-free and 2k-regular with n >= 3, and the result is M:
     loop-free classes only, a child dropped once a pair holds more than k
@@ -97,8 +143,8 @@ def _eliminate(g, k=None):
     each state of the last 3 vertices, a triangle of k-bundles, counts 1.
     Without k, the result is the coefficient list of J(g; x), the sum over
     the transition systems T of x^c(T), c(T) the number of circuits: every
-    class, each self-loop stripped as it is made, and every vertex
-    eliminated."""
+    class, and each self-loop stripped as it is made.  The last vertex then
+    has no edge and no loop left, so J is the sum of the values before it."""
     adj = g.adjacency()
     order = _order(g)
     rank = [0] * g.n
@@ -111,63 +157,120 @@ def _eliminate(g, k=None):
         for v, c in g.loops.items():
             value = _strip_loops(value, degree[v] + 2 * c, c)
         states = {(): value}
-        last = g.n
+        last = g.n - 1
     else:
         states = {(): 1}
         last = g.n - 3
+    half = 1 if loops else -1
+    front = []
     for i, v in enumerate(order[:last]):
-        later = {u: m for u, m in adj[v].items() if rank[u] > i}
-        children = {}
-        for state, value in states.items():
-            nbrs = dict(later)
-            kept = {}
-            for e, m in state:
-                a, b = e
-                if a == v:
-                    if b != v:
-                        nbrs[b] = nbrs.get(b, 0) + m
-                elif b == v:
-                    nbrs[a] = nbrs.get(a, 0) + m
-                else:
-                    kept[e] = m
-            ns = sorted(nbrs)
-            last_loops = None
-            for D, L, coeff in _classes(tuple(nbrs[u] for u in ns), loops):
-                child = dict(kept)
-                capped = False
-                for p, a in enumerate(ns):
-                    row = D[p]
-                    for q in range(p + 1, len(ns)):
-                        if row[q]:
-                            e = (a, ns[q])
-                            m = child[e] = child.get(e, 0) + row[q]
-                            capped |= (not loops
-                                       and m + adj[a].get(ns[q], 0) > k)
-                if capped:
-                    continue
-                if not loops:
-                    key = tuple(sorted(child.items()))
-                    children[key] = children.get(key, 0) + coeff * value
-                    continue
-                if L != last_loops:  # _classes sorts the classes by L
-                    last_loops, term = L, value
-                    for p, c in enumerate(L):
+        nbrs = adj[v]
+        nfront = [u for u in front if u != v]
+        nfront += [u for u in nbrs if rank[u] > i and u not in front]
+        keep, feed = _leave(len(front), front.index(v) if v in front
+                            else len(front), loops)
+        w = len(nfront)
+        pad = [0] * (w * (w + half) // 2 - len(keep))
+        # the pivot's multiplicities to the next frontier are the input's
+        # plus, for the vertices that stay, what a state holds at feed
+        base = [nbrs.get(u, 0) for u in nfront]
+        if feed:
+            groups = {}
+            for state in states:
+                row = tuple([state[s] for s in feed])
+                members = groups.get(row)
+                if members is None:
+                    members = groups[row] = []
+                members.append(state)
+        else:
+            groups = {(): states}
+        tables, children = {}, {}
+        for row, members in groups.items():
+            mult = base
+            if row:
+                mult = base[:]
+                for p, x in enumerate(row):
+                    mult[p] += x
+            at, profile = [], []  # the neighbours' positions, multiplicities
+            for p, m in enumerate(mult):
+                if m:
+                    at.append(p)
+                    profile.append(m)
+            at = tuple(at)
+            upper = tables.get(at)
+            if upper is None:  # (x, y, the slot of the x-th and y-th)
+                upper = tables[at] = [(x, y, q * (q + half) // 2 + p)
+                                      for y, q in enumerate(at)
+                                      for x, p in enumerate(at[:y])]
+            classes = _classes(tuple(profile), loops)
+            if not loops:
+                # each addition with its room, k less the input's edges
+                room = [k - adj[nfront[at[x]]].get(nfront[at[y]], 0)
+                        for x, y, _ in upper]
+                resolved = []
+                for D, _, coeff in classes:
+                    adds = []
+                    for (x, y, s), r in zip(upper, room):
+                        if D[x][y]:
+                            adds.append((s, D[x][y], r))
+                    resolved.append((adds, coeff))
+                for state in members:
+                    value = states[state]
+                    start = [state[j] for j in keep] + pad
+                    for adds, coeff in resolved:
+                        child = start[:]
+                        for s, x, r in adds:
+                            x += child[s]
+                            if x > r:
+                                break
+                            child[s] = x
+                        else:
+                            key = tuple(child)
+                            children[key] = children.get(key, 0) + coeff * value
+                continue
+            # one batch per loop vector L, as _classes sorts the classes by
+            # L: (degree, diagonal slot, loops made) for each looped
+            # neighbour, and the additions
+            resolved, last_loops = [], None
+            for D, L, coeff in classes:
+                if L != last_loops:
+                    last_loops, batch, made = L, [], []
+                    for x, c in enumerate(L):
                         if c:
-                            term = _strip_loops(
-                                term, degree[ns[p]]
-                                - 2 * kept.get((ns[p], ns[p]), 0), c)
-                for p, c in enumerate(L):
-                    if c:
-                        e = (ns[p], ns[p])
-                        child[e] = kept.get(e, 0) + c
-                acc = children.setdefault(tuple(sorted(child.items())), [])
-                acc += [0] * (len(term) - len(acc))
-                for j, x in enumerate(term):
-                    acc[j] += coeff * x
-        states = children
-    if loops:
-        return states[()]
-    return sum(states.values())
+                            p = at[x]
+                            made.append((degree[nfront[p]], p * (p + 3) // 2,
+                                         c))
+                    resolved.append((made, batch))
+                adds = []
+                for x, y, s in upper:
+                    if D[x][y]:
+                        adds.append((s, D[x][y]))
+                batch.append((adds, coeff))
+            for state in members:
+                value = states[state]
+                start = [state[j] for j in keep] + pad
+                for made, batch in resolved:
+                    term, looped = value, start[:]
+                    for d, s, c in made:
+                        term = _strip_loops(term, d - 2 * start[s], c)
+                        looped[s] += c
+                    for adds, coeff in batch:
+                        child = looped[:]
+                        for s, x in adds:
+                            child[s] += x
+                        acc = children.setdefault(tuple(child), [])
+                        acc += [0] * (len(term) - len(acc))
+                        for j, x in enumerate(term):
+                            acc[j] += coeff * x
+        states, front = children, nfront
+    if not loops:
+        return sum(states.values())
+    total = []
+    for value in states.values():
+        total += [0] * (len(value) - len(total))
+        for j, x in enumerate(value):
+            total[j] += x
+    return total
 
 
 # -- Martin polynomial ---------------------------------------------------

@@ -21,7 +21,7 @@ from math import factorial
 
 
 class Multigraph:
-    __slots__ = ("n", "mult", "loops", "_key", "_canon", "_adj")
+    __slots__ = ("n", "mult", "loops", "_key", "_canon", "_adj", "_order")
 
     def __init__(self, n, mult=None, loops=None):
         mult = dict(mult or {})
@@ -47,6 +47,7 @@ class Multigraph:
         self._key = None
         self._canon = None
         self._adj = None
+        self._order = None
 
     # -- basic queries -------------------------------------------------
 
@@ -180,7 +181,9 @@ def duplicate(g, r):
     r > 0 keeps the order of the seed partition's (degree, loops) classes
     and of every refinement signature, so canonical_form walks the same
     search tree, finds the same automorphisms and picks the same minimum
-    leaf, whose certificate is g's scaled entrywise after n."""
+    leaf, whose certificate is g's scaled entrywise after n.  The copy also
+    carries g's elimination order, if known (see martin._order), which reads
+    only which pairs are adjacent."""
     if r < 1:
         raise ValueError("duplication factor must be >= 1")
     h = Multigraph(g.n, {e: m * r for e, m in g.mult.items()},
@@ -188,6 +191,7 @@ def duplicate(g, r):
     if g._canon is not None:
         n, *entries = g._canon.split(b",")
         h._canon = b",".join([n] + [b"%d" % (int(x) * r) for x in entries])
+    h._order = g._order
     return h
 
 
@@ -493,8 +497,12 @@ def canonical_form(g):
                 gens.append(tuple(p))
             return
         cell = cells[target]
+        # a refined cell whose vertices have no neighbours holds only such
+        # vertices, with one loop count, so every permutation of it is an
+        # automorphism: its first vertex's branch holds the minimum leaf
+        explore = cell if adj[cell[0]] else cell[:1]
         reps, reps_gens = None, 0
-        for v in cell:
+        for v in explore:
             # a non-representative is equivalent to an earlier explored
             # vertex; orbits merge only when a generator turns up, and with
             # none every vertex represents itself

@@ -258,8 +258,8 @@ def test_compute_batch_prefers_cache_hits():
 
 
 def test_compute_batch_rejects_an_unused_vertex_label():
-    # labels 3..99 are unused; keying the 101-vertex graph they would make
-    # took minutes
+    # labels 3..99 are unused, and every task would reject the graph they
+    # make, so the record gets one graph error
     doubled_triangle = [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)]
     start = time.perf_counter()
     [out] = compute_batch([GraphRecord("gap", doubled_triangle + [(0, 100)])],

@@ -206,6 +206,146 @@ def reference_invariant(g):
     return _ref_invariant(g, g.degrees()[0] // 2)
 
 
+# ----------------------------------------------- the reference slot-free kernel
+#
+# The elimination as it stood before a state became a tuple over slots: a
+# sorted tuple of ((a, b), m) items, children built as dicts and sorted, and
+# the greedy order recomputed by set differences on every call.  The
+# differential tests run martin._eliminate and martin._order against it
+# where the reference recursion above cannot go in tier-1 time.
+
+def reference_order(g):
+    """martin._order before the order was kept on the graph: every greedy
+    step takes set differences over every remaining vertex.
+
+    From a start vertex, the greedy order eliminates next the vertex that
+    leaves the smallest frontier, then the one with the most eliminated
+    neighbours, then the lowest label; its width is its largest frontier.
+    Starts are tried in increasing number of neighbours, and the narrowest
+    order wins, the earliest among equals.  A start is abandoned once its
+    width reaches the best so far, and the search ends at a width equal to
+    the fewest neighbours of any vertex, since every order's first frontier
+    is its first vertex's neighbours."""
+    adj = g.adjacency()
+    n = g.n
+    best, best_width = None, n + 1
+    for start in sorted(range(n), key=lambda v: len(adj[v])):
+        order, gone, front, width = [], set(), set(), 0
+        v = start
+        while True:
+            order.append(v)
+            gone.add(v)
+            front.discard(v)
+            front.update(u for u in adj[v] if u not in gone)
+            width = max(width, len(front))
+            if width >= best_width or len(order) == n:
+                break
+            v = min((len(adj[w].keys() - gone - front) - (w in front),
+                     -len(adj[w].keys() & gone), w)
+                    for w in range(n) if w not in gone)[2]
+        if width < best_width:
+            best, best_width = order, width
+            if width == min(map(len, adj)):
+                break
+    return best
+
+
+def _ref_strip_loops(p, d, c):
+    """The coefficient list p times the factor J gains when c self-loops
+    leave a vertex of degree d: (x + d - 2 - 2t) for the t-th.  A loop's
+    two ends either pair with each other, closing a circuit, or sit inside
+    one of the other (d - 2 - 2t)/2 pairs at the vertex, in 2 ways."""
+    for t in range(c):
+        a = d - 2 - 2 * t
+        p = [a * x + y for x, y in zip(p + [0], [0] + p)]
+    return p
+
+
+def reference_eliminate(g, k=None):
+    """martin._eliminate before its states became slot tuples, along
+    reference_order(g).  A state is the sorted tuple of ((a, b), m): m edges added
+    between the frontier vertices a < b, and for the polynomial m self-loops
+    already stripped at a == b.
+
+    With k, g is loop-free and 2k-regular with n >= 3, and the result is M:
+    loop-free classes only, a child dropped once a pair holds more than k
+    edges (that pair's cut of 4k - 2m edges is below 2k, so M is 0), and
+    each state of the last 3 vertices, a triangle of k-bundles, counts 1.
+    Without k, the result is the coefficient list of J(g; x), the sum over
+    the transition systems T of x^c(T), c(T) the number of circuits: every
+    class, each self-loop stripped as it is made, and every vertex
+    eliminated."""
+    adj = g.adjacency()
+    order = reference_order(g)
+    rank = [0] * g.n
+    for i, v in enumerate(order):
+        rank[v] = i
+    loops = k is None
+    if loops:
+        degree = [sum(a.values()) for a in adj]  # with every loop stripped
+        value = [1]
+        for v, c in g.loops.items():
+            value = _ref_strip_loops(value, degree[v] + 2 * c, c)
+        states = {(): value}
+        last = g.n
+    else:
+        states = {(): 1}
+        last = g.n - 3
+    for i, v in enumerate(order[:last]):
+        later = {u: m for u, m in adj[v].items() if rank[u] > i}
+        children = {}
+        for state, value in states.items():
+            nbrs = dict(later)
+            kept = {}
+            for e, m in state:
+                a, b = e
+                if a == v:
+                    if b != v:
+                        nbrs[b] = nbrs.get(b, 0) + m
+                elif b == v:
+                    nbrs[a] = nbrs.get(a, 0) + m
+                else:
+                    kept[e] = m
+            ns = sorted(nbrs)
+            last_loops = None
+            for D, L, coeff in _classes(tuple(nbrs[u] for u in ns), loops):
+                child = dict(kept)
+                capped = False
+                for p, a in enumerate(ns):
+                    row = D[p]
+                    for q in range(p + 1, len(ns)):
+                        if row[q]:
+                            e = (a, ns[q])
+                            m = child[e] = child.get(e, 0) + row[q]
+                            capped |= (not loops
+                                       and m + adj[a].get(ns[q], 0) > k)
+                if capped:
+                    continue
+                if not loops:
+                    key = tuple(sorted(child.items()))
+                    children[key] = children.get(key, 0) + coeff * value
+                    continue
+                if L != last_loops:  # _classes sorts the classes by L
+                    last_loops, term = L, value
+                    for p, c in enumerate(L):
+                        if c:
+                            term = _ref_strip_loops(
+                                term, degree[ns[p]]
+                                - 2 * kept.get((ns[p], ns[p]), 0), c)
+                for p, c in enumerate(L):
+                    if c:
+                        e = (ns[p], ns[p])
+                        child[e] = kept.get(e, 0) + c
+                acc = children.setdefault(tuple(sorted(child.items())), [])
+                acc += [0] * (len(term) - len(acc))
+                for j, x in enumerate(term):
+                    acc[j] += coeff * x
+        states = children
+    if loops:
+        return states[()]
+    return sum(states.values())
+
+
 # ------------------------------------------------------------ small polynomials
 
 
@@ -442,6 +582,44 @@ def test_elimination_matches_the_reference_recursion():
     for g in pool:
         assert martin_polynomial(g) == reference_polynomial(g), g
         assert martin_invariant(g) == reference_invariant(g), g
+
+
+def _nx16():
+    """networkx.random_regular_graph(4, 16, seed=16), as a fixed edge list."""
+    return from_edges(16, [
+        (0, 2), (0, 8), (0, 11), (0, 15), (1, 5), (1, 8), (1, 11), (1, 14),
+        (2, 3), (2, 6), (2, 13), (3, 10), (3, 11), (3, 15), (4, 6), (4, 7),
+        (4, 9), (4, 14), (5, 9), (5, 12), (5, 13), (6, 7), (6, 8), (7, 12),
+        (7, 13), (8, 15), (9, 10), (9, 14), (10, 12), (10, 13), (11, 12),
+        (14, 15)])
+
+
+def test_order_matches_the_reference_greedy():
+    # the incremental greedy picks the reference's vertices, and a duplicate
+    # has its graph's order, whether carried over or computed afresh
+    pool = [g for n in range(1, 7) for g in generated(n)]
+    for g in pool + batch_scale_graphs():
+        fresh = Multigraph(g.n, g.mult, g.loops)
+        order = martin._order(fresh)
+        assert order == tuple(reference_order(g)), g
+        for r in (2, 3):
+            assert martin._order(duplicate(fresh, r)) == order
+            again = duplicate(Multigraph(g.n, g.mult, g.loops), r)
+            assert again._order is None and martin._order(again) == order
+
+
+def test_slot_states_match_the_reference_kernel():
+    # M and J beyond the reference recursion's reach: each graph goes through
+    # both kernels, with no memo between them
+    g10, nx16 = _cyclically_6_connected_10_vertex(), _nx16()
+    plain = batch_scale_graphs()
+    pool = plain + [duplicate(g, 2) for g in plain]
+    pool += [duplicate(g10, r) for r in range(1, 6)] + [duplicate(nx16, 2)]
+    for g in pool:
+        k = g.degrees()[0] // 2
+        assert martin._eliminate(g, k) == reference_eliminate(g, k), g
+    for g in plain + [g10, duplicate(g10, 2), nx16]:
+        assert martin._eliminate(g) == reference_eliminate(g), g
 
 
 def _bundle_across_a_weak_cut():

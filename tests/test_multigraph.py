@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -455,6 +456,28 @@ def test_canonical_form_of_tuple_encodings():
         fresh = Multigraph(g.n, carried.mult, carried.loops)
         assert carried._canon == canonical_form(fresh)
 
+
+
+def test_canonical_form_with_neighbourless_vertices():
+    # a doubled triangle plus the edge (0, N) leaves N - 3 vertices with no
+    # neighbours; the search explores one of them where it explored each,
+    # which took seconds at N = 33
+    triangle = [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)]
+    graphs = [from_edges(N + 1, triangle + [(0, N)]) for N in range(17, 34)]
+    start = time.perf_counter()
+    keys = [canonical_form(g) for g in graphs]
+    assert time.perf_counter() - start < 1
+    assert len(set(keys)) == len(keys)
+    rng = random.Random(417)
+    for g, key in zip(graphs, keys):
+        assert canonical_form(relabel(g, rng.sample(range(g.n), g.n))) == key
+        # loops split the neighbourless vertices by count, and only the
+        # counts matter
+        two = Multigraph(g.n, g.mult, {3: 1, 4: 1})
+        assert canonical_form(relabel(two, rng.sample(range(g.n), g.n))) \
+            == canonical_form(Multigraph(g.n, g.mult, {g.n - 2: 1, 5: 1}))
+        assert canonical_form(two) != canonical_form(
+            Multigraph(g.n, g.mult, {3: 2}))
 
 def test_duplicate_carries_the_canonical_form():
     rng = random.Random(413)
