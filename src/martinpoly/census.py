@@ -397,6 +397,7 @@ def main(argv=None):
         if not re.fullmatch(r"[0-9]+", p) or int(p) < 1:
             error("--primes: %r is not a positive integer" % p)
         tasks.append("c2@%d" % int(p))
+    tasks = list(dict.fromkeys(tasks))  # a task named twice runs once
     try:
         records = parse_graph_file(args.input)
     except (OSError, ValueError) as exc:

@@ -14,9 +14,11 @@ all join frontier vertices (remaining vertices next to an eliminated one).
 So the added edges alone identify a state: no vertex below the input needs a
 canonical form, a memo or a cut scan, and the order changes only the cost.
 The order is computed once per graph and kept on it, and it fixes every
-step's frontier, so a state is a plain tuple of added multiplicities over
-that frontier's pairs in one fixed order, and a child is the slots that stay
-plus one class's nonzero entries: no dict and no sort per child.
+step's frontier, so a state is one int with a fixed-width field per pair of
+that frontier, in one fixed order, and a child is the fields that stay,
+shifted down, plus one class's packed addition: one integer sum per child.
+The polynomial's values are ints too, each its coefficient list at a power
+of two wide enough that no coefficient carries into the next.
 
 The invariant's values are exact integers once the graph has at least three
 vertices; the one- and two-vertex values are the only fractional ones.
@@ -98,53 +100,89 @@ def _order(g):
     return g._order
 
 
-def _strip_loops(p, d, c):
-    """The coefficient list p times the factor J gains when c self-loops
-    leave a vertex of degree d: (x + d - 2 - 2t) for the t-th.  A loop's
-    two ends either pair with each other, closing a circuit, or sit inside
-    one of the other (d - 2 - 2t)/2 pairs at the vertex, in 2 ways."""
-    for t in range(c):
-        a = d - 2 - 2 * t
-        p = [a * x + y for x, y in zip(p + [0], [0] + p)]
-    return p
-
-
 @lru_cache(maxsize=None)
-def _leave(w, t, loops):
-    """For a frontier of w vertices whose t-th leaves (none does at t = w):
-    the slots of the pairs that stay, in order, and the t-th's slots with
-    the others, in their order.  The positions x <= y, x < y without loops,
-    have the slot y(y + 1)/2 + x with loops and y(y - 1)/2 + x without: the
-    pairs column by column, so those that stay keep their order.  Cached,
-    as it depends on the sizes alone."""
+def _leave(w, t, loops, width):
+    """For a frontier of w vertices whose t-th leaves (none does at t = w),
+    with a state's slots packed into fields of width bits: the runs of slots
+    that stay, each as a (shift, mask) that moves it down into place, and
+    the shifts and the joint mask of the t-th's slots with the others, in
+    their order.  The positions x <= y, x < y without loops, have the slot
+    y(y + 1)/2 + x with loops and y(y - 1)/2 + x without: the pairs column
+    by column, so those that stay keep their order.  Cached, as it depends
+    on the sizes alone."""
     half = 1 if loops else -1
     keep = [y * (y + half) // 2 + x for y in range(w) if y != t
             for x in range(y + loops) if x != t]
     feed = [max(x, t) * (max(x, t) + half) // 2 + min(x, t)
             for x in range(w) if x != t] if t < w else []
-    return keep, feed
+    runs = []  # [how far down, first new slot, slots]
+    for j, s in enumerate(keep):
+        if runs and runs[-1][0] == s - j:
+            runs[-1][2] += 1
+        else:
+            runs.append([s - j, j, 1])
+    runs = tuple((down * width, ((1 << n * width) - 1) << j * width)
+                 for down, j, n in runs)
+    field = (1 << width) - 1
+    return (runs, tuple(s * width for s in feed),
+            sum(field << s * width for s in feed))
+
+
+# (loops, field width) -> the pivot's multiplicities to the next frontier
+# -> its transition classes as packed additions (see _resolve)
+_RESOLVED = {}
+
+
+def _resolve(mult, loops, width):
+    """The transition classes of a pivot with multiplicities mult to the
+    next frontier, each as the packed addition delta of its new edges to a
+    state, with its coefficient: one (made, diagonal, pairs) per loop
+    vector, the (position, count) of the loops it makes, their packed
+    addition to the diagonal slots, and its classes' (delta, coeff) pairs.
+    Without loops there is one, which makes none.  The classes come from
+    the body of _classes, so that its cache is not filled as well."""
+    at = [p for p, m in enumerate(mult) if m]
+    half = 1 if loops else -1
+    upper = [(x, y, (q * (q + half) // 2 + p) * width)
+             for y, q in enumerate(at) for x, p in enumerate(at[:y])]
+    classes = _classes.__wrapped__(tuple(mult[p] for p in at), loops)
+    pairs = [(sum(D[x][y] << s for x, y, s in upper), coeff)
+             for D, _, coeff in classes]
+    by_loops = {}
+    for (_, L, _), pair in zip(classes, pairs):
+        by_loops.setdefault(L, []).append(pair)
+    return tuple((tuple((at[x], c) for x, c in enumerate(L) if c),
+                  sum(c << at[x] * (at[x] + 3) // 2 * width
+                      for x, c in enumerate(L)), tuple(batch))
+                 for L, batch in by_loops.items())
 
 
 def _eliminate(g, k=None):
     """The transition recursion of g, run by eliminating its vertices along
     _order(g).  The order fixes the frontier before every step, so a state
-    is a tuple over the slots of that frontier's pairs (see _leave): the
-    edges added between two frontier vertices, and for the polynomial the
-    self-loops already stripped at one.  The eliminated vertex leaves the
-    frontier and those of its later neighbours not on it join at the end,
-    so a child is the state's slots that stay, then zeros, plus one class's
-    nonzero entries, each at the slot of its pair of neighbours.  The states
-    that agree on the pivot's slots give it one neighbour profile, and they
-    share one resolution of its classes into those (slot, count) additions.
+    is one int with a field of width bits per slot of that frontier's pairs
+    (see _leave): the edges added between two frontier vertices, and for
+    the polynomial the self-loops already stripped at one.  The eliminated
+    vertex leaves the frontier and those of its later neighbours not on it
+    join at the end, so a child is the state's fields that stay, shifted
+    down, plus one class's packed addition.  The states that agree on the
+    pivot's fields give it one neighbour profile, and they share one
+    resolution of its classes into additions (_resolve, kept in _RESOLVED).
 
     With k, g is loop-free and 2k-regular with n >= 3, and the result is M:
     loop-free classes only, a child dropped once a pair holds more than k
     edges (that pair's cut of 4k - 2m edges is below 2k, so M is 0), and
     each state of the last 3 vertices, a triangle of k-bundles, counts 1.
+    A field has a guard bit above room for 2k, and each step biases the
+    fields so that a pair's guard bit is set exactly when it holds too
+    many edges: one test per child.
     Without k, the result is the coefficient list of J(g; x), the sum over
     the transition systems T of x^c(T), c(T) the number of circuits: every
     class, and each self-loop stripped as it is made.  The last vertex then
-    has no edge and no loop left, so J is the sum of the values before it."""
+    has no edge and no loop left, so J is the sum of the values before it.
+    A value is its coefficient list at x = 2^b, where 2^b exceeds the number
+    of transition systems: J's coefficients are nonnegative and sum to that
+    number, so none carries into the next."""
     adj = g.adjacency()
     order = _order(g)
     rank = [0] * g.n
@@ -153,124 +191,101 @@ def _eliminate(g, k=None):
     loops = k is None
     if loops:
         degree = [sum(a.values()) for a in adj]  # with every loop stripped
-        value = [1]
+        dmax = max(g.degrees() + [1])  # no field holds more
+        width = dmax.bit_length()
+        systems = 1
+        for d in g.degrees():
+            for j in range(d - 1, 1, -2):
+                systems *= j
+        b = systems.bit_length()
+        # what J gains when c self-loops leave a vertex of degree d:
+        # (x + d - 2 - 2t) for the t-th.  A loop's two ends either pair
+        # with each other, closing a circuit, or sit inside one of the
+        # other (d - 2 - 2t)/2 pairs at the vertex, in 2 ways
+        factor = []
+        for d in range(dmax + 1):
+            row = [1]
+            for t in range(d // 2):
+                row.append(row[-1] * ((1 << b) + d - 2 - 2 * t))
+            factor.append(row)
+        value = 1
         for v, c in g.loops.items():
-            value = _strip_loops(value, degree[v] + 2 * c, c)
-        states = {(): value}
+            value *= factor[degree[v] + 2 * c][c]
         last = g.n - 1
     else:
-        states = {(): 1}
+        width = (2 * k).bit_length() + 1
+        top = (1 << width - 1) - 1  # below the guard bit; at least 2k
+        value = 1
         last = g.n - 3
-    half = 1 if loops else -1
+    states = {0: value}
+    field = (1 << width) - 1
+    cache = _RESOLVED.setdefault((loops, width), {})
     front = []
     for i, v in enumerate(order[:last]):
         nbrs = adj[v]
         nfront = [u for u in front if u != v]
         nfront += [u for u in nbrs if rank[u] > i and u not in front]
-        keep, feed = _leave(len(front), front.index(v) if v in front
-                            else len(front), loops)
-        w = len(nfront)
-        pad = [0] * (w * (w + half) // 2 - len(keep))
+        runs, feed, mask = _leave(len(front), front.index(v) if v in front
+                                  else len(front), loops, width)
+        bias = guard = 0
+        if loops:
+            made_at = [(p * (p + 3) // 2 * width, degree[u])
+                       for p, u in enumerate(nfront)]
+        else:
+            # a pair's field holds at most k, and its room is the
+            # max(k - m, 0) edges it may take above the input's m; biased by
+            # top - room, it reaches the guard bit above top exactly when it
+            # takes more, and an addition of at most k cannot pass that bit
+            for y in range(1, len(nfront)):
+                row = adj[nfront[y]]
+                for x in range(y):
+                    s = (y * (y - 1) // 2 + x) * width
+                    bias |= top - max(k - row.get(nfront[x], 0), 0) << s
+                    guard |= top + 1 << s
         # the pivot's multiplicities to the next frontier are the input's
         # plus, for the vertices that stay, what a state holds at feed
         base = [nbrs.get(u, 0) for u in nfront]
-        if feed:
-            groups = {}
-            for state in states:
-                row = tuple([state[s] for s in feed])
-                members = groups.get(row)
-                if members is None:
-                    members = groups[row] = []
-                members.append(state)
-        else:
-            groups = {(): states}
-        tables, children = {}, {}
+        groups = {}
+        for state in states:
+            row = state & mask
+            members = groups.get(row)
+            if members is None:
+                members = groups[row] = []
+            members.append(state)
+        children = {}
         for row, members in groups.items():
-            mult = base
-            if row:
-                mult = base[:]
-                for p, x in enumerate(row):
-                    mult[p] += x
-            at, profile = [], []  # the neighbours' positions, multiplicities
-            for p, m in enumerate(mult):
-                if m:
-                    at.append(p)
-                    profile.append(m)
-            at = tuple(at)
-            upper = tables.get(at)
-            if upper is None:  # (x, y, the slot of the x-th and y-th)
-                upper = tables[at] = [(x, y, q * (q + half) // 2 + p)
-                                      for y, q in enumerate(at)
-                                      for x, p in enumerate(at[:y])]
-            classes = _classes(tuple(profile), loops)
-            if not loops:
-                # each addition with its room, k less the input's edges
-                room = [k - adj[nfront[at[x]]].get(nfront[at[y]], 0)
-                        for x, y, _ in upper]
-                resolved = []
-                for D, _, coeff in classes:
-                    adds = []
-                    for (x, y, s), r in zip(upper, room):
-                        if D[x][y]:
-                            adds.append((s, D[x][y], r))
-                    resolved.append((adds, coeff))
-                for state in members:
-                    value = states[state]
-                    start = [state[j] for j in keep] + pad
-                    for adds, coeff in resolved:
-                        child = start[:]
-                        for s, x, r in adds:
-                            x += child[s]
-                            if x > r:
-                                break
-                            child[s] = x
-                        else:
-                            key = tuple(child)
-                            children[key] = children.get(key, 0) + coeff * value
-                continue
-            # one batch per loop vector L, as _classes sorts the classes by
-            # L: (degree, diagonal slot, loops made) for each looped
-            # neighbour, and the additions
-            resolved, last_loops = [], None
-            for D, L, coeff in classes:
-                if L != last_loops:
-                    last_loops, batch, made = L, [], []
-                    for x, c in enumerate(L):
-                        if c:
-                            p = at[x]
-                            made.append((degree[nfront[p]], p * (p + 3) // 2,
-                                         c))
-                    resolved.append((made, batch))
-                adds = []
-                for x, y, s in upper:
-                    if D[x][y]:
-                        adds.append((s, D[x][y]))
-                batch.append((adds, coeff))
+            mult = base[:]
+            for p, s in enumerate(feed):
+                mult[p] += row >> s & field
+            mult = tuple(mult)
+            resolved = cache.get(mult)
+            if resolved is None:
+                resolved = cache[mult] = _resolve(mult, loops, width)
             for state in members:
                 value = states[state]
-                start = [state[j] for j in keep] + pad
-                for made, batch in resolved:
-                    term, looped = value, start[:]
-                    for d, s, c in made:
-                        term = _strip_loops(term, d - 2 * start[s], c)
-                        looped[s] += c
-                    for adds, coeff in batch:
-                        child = looped[:]
-                        for s, x in adds:
-                            child[s] += x
-                        acc = children.setdefault(tuple(child), [])
-                        acc += [0] * (len(term) - len(acc))
-                        for j, x in enumerate(term):
-                            acc[j] += coeff * x
+                start = 0
+                for s, m in runs:
+                    start |= state >> s & m
+                for made, diagonal, pairs in resolved:
+                    term = value
+                    for p, c in made:
+                        s, d = made_at[p]
+                        term *= factor[d - 2 * (start >> s & field)][c]
+                    looped = start + diagonal
+                    biased = looped + bias
+                    for delta, coeff in pairs:
+                        if not biased + delta & guard:
+                            key = looped + delta
+                            children[key] = children.get(key, 0) + coeff * term
         states, front = children, nfront
+    total = sum(states.values())
     if not loops:
-        return sum(states.values())
-    total = []
-    for value in states.values():
-        total += [0] * (len(value) - len(total))
-        for j, x in enumerate(value):
-            total[j] += x
-    return total
+        return total
+    coefficients = []
+    while total:
+        coefficients.append(total & (1 << b) - 1)
+        total >>= b
+    return coefficients
 
 
 # -- Martin polynomial ---------------------------------------------------

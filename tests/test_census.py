@@ -376,6 +376,25 @@ def test_cli_primes_skip_empty_fields(tmp_path):
     assert row.split("\t")[-2:] == ["1 mod 2", "2 mod 3"]
 
 
+@pytest.mark.parametrize("args", [
+    ["--tasks", "M,M"],
+    ["--tasks", "c2@3", "--primes", "3"],
+    ["--tasks", "M2", "--rmax", "2"],
+], ids=["tasks-twice", "tasks-and-primes", "tasks-and-rmax"])
+def test_cli_task_named_twice_gets_one_column(tmp_path, args):
+    graphs = tmp_path / "graphs.txt"
+    graphs.write_text(_graph_line("octa", octahedron()))
+    out = tmp_path / "out.tsv"
+    assert main(["compute", "--input", str(graphs), "--out", str(out)]
+                + args) == 0
+    header = out.read_text().splitlines()[0].split("\t")
+    assert header == ["name", "n", "degree", args[1].split(",")[0]]
+    report = tmp_path / "report.tsv"
+    assert main(["report", "--input", str(graphs), "--out", str(report)]
+                + args) == 0
+    assert report.read_text().count("=") == 1
+
+
 def test_cli_report_groups_classes(tmp_path):
     g, s, side, sigma = twist_pair_ten_vertex()
     a, b = g, twist(g, s, side, sigma)

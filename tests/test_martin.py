@@ -5,7 +5,7 @@ elimination replaced, divisibility, and symmetry-factor bridges."""
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -261,11 +261,11 @@ def _ref_strip_loops(p, d, c):
     return p
 
 
-def reference_eliminate(g, k=None):
+def reference_eliminate(g, k=None, profiles=None, order=None):
     """martin._eliminate before its states became slot tuples, along
-    reference_order(g).  A state is the sorted tuple of ((a, b), m): m edges added
-    between the frontier vertices a < b, and for the polynomial m self-loops
-    already stripped at a == b.
+    reference_order(g) or the order given.  A state is the sorted tuple of
+    ((a, b), m): m edges added between the frontier vertices a < b, and for
+    the polynomial m self-loops already stripped at a == b.
 
     With k, g is loop-free and 2k-regular with n >= 3, and the result is M:
     loop-free classes only, a child dropped once a pair holds more than k
@@ -274,9 +274,11 @@ def reference_eliminate(g, k=None):
     Without k, the result is the coefficient list of J(g; x), the sum over
     the transition systems T of x^c(T), c(T) the number of circuits: every
     class, each self-loop stripped as it is made, and every vertex
-    eliminated."""
+    eliminated.  A set passed as profiles collects the sorted neighbour
+    profile each state gives its pivot."""
     adj = g.adjacency()
-    order = reference_order(g)
+    if order is None:
+        order = reference_order(g)
     rank = [0] * g.n
     for i, v in enumerate(order):
         rank[v] = i
@@ -307,6 +309,8 @@ def reference_eliminate(g, k=None):
                 else:
                     kept[e] = m
             ns = sorted(nbrs)
+            if profiles is not None:
+                profiles.add(tuple(sorted(nbrs.values())))
             last_loops = None
             for D, L, coeff in _classes(tuple(nbrs[u] for u in ns), loops):
                 child = dict(kept)
@@ -608,18 +612,61 @@ def test_order_matches_the_reference_greedy():
             assert again._order is None and martin._order(again) == order
 
 
-def test_slot_states_match_the_reference_kernel():
+def test_slot_states_match_the_reference_kernel(monkeypatch):
     # M and J beyond the reference recursion's reach: each graph goes through
-    # both kernels, with no memo between them
+    # both kernels, with no memo between them.  The exhaustive small classes
+    # bring input loops to J, and pairs of more than k edges to M: the
+    # 6-regular ones on 5 vertices hold bundles of 4 to 6.  M's cap only
+    # prunes (a pair over k leaves its next pivot no loop-free class), so no
+    # value shows it; the neighbour profiles the pivots meet do.  A pair of
+    # more than k input edges is on a frontier only in some orders, not the
+    # greedy one, so the small classes go through every order of the
+    # vertices M eliminates
     g10, nx16 = _cyclically_6_connected_10_vertex(), _nx16()
     plain = batch_scale_graphs()
+    small = [g for degree, top in ((4, 5), (6, 4))
+             for n in range(1, top + 1) for g in generated(n, degree=degree)]
     pool = plain + [duplicate(g, 2) for g in plain]
     pool += [duplicate(g10, r) for r in range(1, 6)] + [duplicate(nx16, 2)]
-    for g in pool:
+    loop_free = [g for g in small + generated(5, degree=6)
+                 if g.n >= 3 and not g.loops]
+    pool += loop_free
+    met = set()
+    resolve = martin._resolve
+
+    def spy(mult, loops, width):
+        met.add(tuple(sorted(m for m in mult if m)))
+        return resolve(mult, loops, width)
+    monkeypatch.setattr(martin, "_resolve", spy)
+
+    def check(g, order=None):
         k = g.degrees()[0] // 2
-        assert martin._eliminate(g, k) == reference_eliminate(g, k), g
-    for g in plain + [g10, duplicate(g10, 2), nx16]:
+        monkeypatch.setattr(martin, "_RESOLVED", {})
+        met.clear()
+        profiles = set()
+        assert (martin._eliminate(g, k)
+                == reference_eliminate(g, k, profiles, order)), (g, order)
+        assert met == profiles, (g, order)
+
+    for g in pool:
+        check(g)
+    for g in plain + [g10, duplicate(g10, 2), nx16] + small:
         assert martin._eliminate(g) == reference_eliminate(g), g
+    for g in loop_free:
+        for head in permutations(range(g.n), g.n - 3):
+            order = head + tuple(v for v in range(g.n) if v not in head)
+            monkeypatch.setattr(martin, "_order", lambda g: order)
+            check(g, order)
+
+
+def test_the_kernel_fills_no_transition_class_cache():
+    # the kernel keeps its resolved classes in one cache of its own, so
+    # the lru_cache of _classes stays empty however many profiles it meets
+    g10 = _cyclically_6_connected_10_vertex()
+    _classes.cache_clear()
+    martin._eliminate(duplicate(g10, 3), 6)
+    martin._eliminate(g10)
+    assert _classes.cache_info().currsize == 0
 
 
 def _bundle_across_a_weak_cut():
