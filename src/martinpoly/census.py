@@ -311,6 +311,10 @@ def _suite_residues(max_vertices):
             c = residues.c2_from_trees_forests(g, 0, 1, p).residue
             ok = ok and a == b == c
     _check(ok, "three c2 routes agree", failures)
+    a = residues.c2(delete_vertex(octa, 5), 5).residue
+    b = residues.c2_from_martin(octa, 5).residue
+    _check(a == b == 4, "point count and Martin route agree at p = 5",
+           failures)
     ok = True
     for n in range(5, min(max_vertices, 6) + 1):
         for g in families.regular_multigraphs(n, 4):

@@ -8,10 +8,10 @@ Conventions used throughout the package:
   * ``loops`` maps a vertex to its self-loop count;
   * degree(v) = sum of incident multiplicities + 2 * loops(v).
 
-Graphs are immutable values: every operation returns a new graph.  The
-canonical form (an isomorphism-invariant byte string) is what makes the
-memoized recursions elsewhere sound, so it gets the most careful treatment
-in this module.
+Graphs are immutable values: an operation returns a new graph, or its
+input when nothing changes.  The canonical form (an isomorphism-invariant
+byte string) is what makes the memoized recursions elsewhere sound, so it
+gets the most careful treatment in this module.
 """
 
 from __future__ import annotations
@@ -183,9 +183,12 @@ def duplicate(g, r):
     search tree, finds the same automorphisms and picks the same minimum
     leaf, whose certificate is g's scaled entrywise after n.  The copy also
     carries g's elimination order, if known (see martin._order), which reads
-    only which pairs are adjacent."""
+    only which pairs are adjacent.  r = 1 returns g itself, as graphs are
+    immutable."""
     if r < 1:
         raise ValueError("duplication factor must be >= 1")
+    if r == 1:
+        return g
     h = Multigraph(g.n, {e: m * r for e, m in g.mult.items()},
                    {v: c * r for v, c in g.loops.items()})
     if g._canon is not None:

@@ -223,7 +223,15 @@ def point_count(g, p, budget=4 * 10 ** 6):
         exactly when the reduced Laplacian of what is left, weighted by
         1/x, is singular.  1/x permutes F_p^*, and a bundle of k parallel
         edges enters only through its weight sum s, taken by
-        c_k(s) = #{w in (F_p^*)^k : sum w = s} weightings.
+        c_k(s) = #{w in (F_p^*)^k : sum w = s} weightings;
+      * the bundles at two rows of that Laplacian, those joining the
+        dropped vertex r to its neighbours a and b and the one joining a
+        to b, are settled in closed form: one elimination of the other
+        rows per weighting of the other bundles leaves either a 2x2 Schur
+        complement (the other rows nonsingular) or a determinant affine in
+        the deferred weight sums (singular), and the count over the
+        deferred bundles is a table lookup on what it leaves
+        (_nonsingular_weightings).
 
     Forests with the same contraction are gathered first.  The count for
     each contracted graph is an isomorphism invariant (the reduced
@@ -233,8 +241,9 @@ def point_count(g, p, budget=4 * 10 ** 6):
     by the labelled graph sits in front of it for the call, so a labelled
     repeat costs no canonical form.  Related graphs, such as the
     decompletions of one completed graph, share most of their strata.  The
-    eliminations this takes stay well under the p^m points of a sweep; the
-    budget still bounds p^m.
+    eliminations this takes stay far under the p^m points of a sweep (at
+    p = 5, C7(1,2) minus a vertex takes 44,066 eliminations of at most 5
+    rows for its 5^10 points); the budget still bounds p^m.
 
     The whole sum over the loop-free part is an isomorphism invariant too,
     and is memoized in _NONVANISHING_MEMO under (canonical form of that
@@ -330,31 +339,84 @@ def _nonvanishing(n, mult, p):
 
 def _nonsingular_weightings(nc, bundles, p):
     """Weightings of the edges of the connected loop-free multigraph on
-    nc >= 2 vertices by F_p^* whose reduced Laplacian (last vertex dropped)
-    is nonsingular mod p.  bundles lists ((a, b), k) with a < b.
+    nc >= 2 vertices by F_p^* whose reduced Laplacian is nonsingular mod p.
+    bundles lists ((a, b), k) with a < b.
 
-    One bundle (a, nc-1) at the dropped vertex adds its weight sum s to the
-    diagonal entry of a alone, and the determinant is affine in that entry:
-    det = D1*(t + s), with D1 the determinant of the rest and t the Schur
-    complement of the entry at s = 0.  One elimination per weighting of the
-    other bundles therefore settles every value of s; when D1 = 0 the
-    determinant does not depend on s, and a second one gives it."""
+    At nc = 2 the Laplacian is the one bundle's weight sum s, so the count
+    is (p-1)^k - c_k(0).  From nc = 3 on, a vertex r with two distinct
+    neighbours a and b is dropped, a triangle r-a-b preferred, and a and b
+    take the last two rows.  The bundles (a, r), (b, r) and (a, b), with
+    weight sums s_ar, s_br and s_ab, are left out of the enumeration: they
+    add only
+
+        E = [[alpha, -gamma], [-gamma, beta]],  alpha = s_ar + s_ab,
+                                                beta = s_br + s_ab,
+                                                gamma = s_ab
+
+    to the trailing 2x2 block.  With M0 the matrix without them, A its
+    leading block and C its cofactors,
+
+        det(M0 + E) = det M0 + alpha C_aa + beta C_bb - 2 gamma C_ab
+                      + (alpha beta - gamma^2) det A.
+
+    One elimination of A per weighting of the other bundles settles every
+    value of (s_ar, s_br, s_ab):
+
+      * if det A != 0 mod p, det(M0 + E) = det A det(S + E), with S the
+        2x2 Schur complement that the elimination leaves;
+      * if det A = 0, det(M0 + E) is affine, given by det M0, C_aa, C_bb
+        and C_ab.  Where the elimination stopped, the matrix left below
+        is a Schur complement whose determinant and cofactors are these
+        four times one nonzero factor, so they are taken from it.
+
+    Either way the count over the deferred bundles depends only on those
+    values mod p, so it is tabulated once per key, from at most p^3 triples
+    of weight sums.  At nc = 3 the leading block is empty and det A = 1."""
+    if nc == 2:
+        [(_, k)] = bundles
+        return (p - 1) ** k - _bundle_weights(k, p)[0]
     size = nc - 1
-    last = max((i for i, ((_, b), _) in enumerate(bundles) if b == size),
-               key=lambda i: bundles[i][1])
-    (a, _), k = bundles[last]
-    last_weights = _bundle_weights(k, p)
-    last_total = (p - 1) ** k
-    # matrix index of each vertex, with a moved to the last row
-    pos = list(range(nc))
-    pos[a], pos[size - 1] = size - 1, a
+    mult = dict(bundles)
+    nbrs = [set() for _ in range(nc)]
+    for u, v in mult:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    pairs = [(r, a, b) for r in range(nc)
+             for a, b in itertools.combinations(sorted(nbrs[r]), 2)]
+    r, a, b = next((t for t in pairs if t[2] in nbrs[t[1]]), pairs[0])
+    # matrix index of each vertex, with a and b last and r, dropped, at size
+    order = [v for v in range(nc) if v not in (r, a, b)] + [a, b, r]
+    pos = {v: i for i, v in enumerate(order)}
+
+    def sums(u, v):
+        k = mult.get((min(u, v), max(u, v)), 0)
+        return [(s, w) for s, w in enumerate(_bundle_weights(k, p)) if w]
+
+    deferred = {(min(u, v), max(u, v)) for u, v in ((a, r), (b, r), (a, b))}
     others = []
     choices = []
-    for i, ((u, v), k) in enumerate(bundles):
-        if i != last:
-            weights = _bundle_weights(k, p)
-            others.append((pos[u], pos[v]))
-            choices.append([(s, weights[s]) for s in range(p) if weights[s]])
+    for (u, v), k in bundles:
+        if (u, v) not in deferred:
+            others.append((min(pos[u], pos[v]), max(pos[u], pos[v])))
+            choices.append(sums(u, v))
+    ar_sums, br_sums, ab_sums = sums(a, r), sums(b, r), sums(a, b)
+
+    def deferred_count(key):
+        # the deferred weightings at which c0 + alpha c_aa + beta c_bb
+        # - 2 gamma c_ab + (alpha beta - gamma^2) d is nonzero
+        d, c0, c_aa, c_bb, c_ab = key
+        total = 0
+        for gamma, w_ab in ab_sums:
+            for x, w_ar in ar_sums:
+                alpha = x + gamma
+                for y, w_br in br_sums:
+                    beta = y + gamma
+                    if (c0 + alpha * c_aa + beta * c_bb - 2 * gamma * c_ab
+                            + (alpha * beta - gamma * gamma) * d) % p:
+                        total += w_ab * w_ar * w_br
+        return total
+
+    table = {}
     count = 0
     for assignment in itertools.product(*choices):
         lap = [[0] * size for _ in range(size)]
@@ -366,11 +428,33 @@ def _nonsingular_weightings(nc, bundles, p):
                 lap[v][v] += s
                 lap[u][v] -= s
                 lap[v][u] -= s
-        reduced = [row[:] for row in lap]
-        if _eliminate(reduced, size - 1, p):
-            count += ways * (last_total - last_weights[-reduced[-1][-1] % p])
-        elif _eliminate(lap, size, p):
-            count += ways * last_total
+        if _eliminate(lap, size - 2, p):
+            # det(S + E) = det S + alpha S_bb + beta S_aa + 2 gamma S_ab
+            #              + alpha beta - gamma^2
+            s_aa, s_ab, s_bb = lap[-2][-2], lap[-2][-1], lap[-1][-1]
+            key = (1, (s_aa * s_bb - s_ab * s_ab) % p, s_bb % p, s_aa % p,
+                   -s_ab % p)
+        else:
+            # the elimination stopped at the first column i without a
+            # pivot, so lap[i][i] = 0 below i nonzero pivots, and left t;
+            # the minors drop row and column a or b, and C_ab carries the
+            # cofactor sign -1
+            i = next(j for j in range(size) if not lap[j][j] % p)
+            t = [row[i:] for row in lap[i:]]
+            n = size - i
+            without_b = list(range(n - 1))
+            without_a = without_b[:-1] + [n - 1]
+            c_aa = _eliminate([[t[x][y] for y in without_a]
+                               for x in without_a], n - 1, p)
+            c_bb = _eliminate([[t[x][y] for y in without_b]
+                               for x in without_b], n - 1, p)
+            c_ab = -_eliminate([[t[x][y] for y in without_b]
+                                for x in without_a], n - 1, p) % p
+            key = (0, _eliminate(t, n, p), c_aa, c_bb, c_ab)
+        got = table.get(key)
+        if got is None:
+            got = table[key] = deferred_count(key)
+        count += ways * got
     return count
 
 

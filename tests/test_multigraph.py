@@ -540,6 +540,7 @@ def test_duplicate_composition():
     for g in (complete_graph(4), k3_113(), dunce_cap()):
         assert duplicate(duplicate(g, 2), 3).key() == duplicate(g, 6).key()
         assert duplicate(g, 1).key() == g.key()
+        assert duplicate(g, 1) is g  # graphs are immutable
 
 
 def test_delete_vertex_mapping():

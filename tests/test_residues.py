@@ -2,9 +2,12 @@
 field point counts of the tree polynomial, and the c2 residue computed three
 independent ways."""
 
+import itertools
 import random
 
 import pytest
+
+from martinpoly import residues
 
 from martinpoly.families import (
     circulant,
@@ -31,6 +34,9 @@ from martinpoly.oracle import (
 from martinpoly.residues import (
     _NONVANISHING_MEMO,
     _STRATUM_MEMO,
+    _bundle_weights,
+    _eliminate,
+    _nonsingular_weightings,
     _ryser_permanent,
     c2,
     c2_from_martin,
@@ -290,6 +296,107 @@ def test_stratum_memo_shared_by_decompletions():
     assert len(_STRATUM_MEMO) == entries and len(_NONVANISHING_MEMO) == 1
 
 
+def reference_nonsingular_weightings(nc, bundles, p):
+    """_nonsingular_weightings with one deferred bundle: one bundle (a, nc-1)
+    at the dropped vertex adds its weight sum s to the diagonal entry of a
+    alone, and the determinant is affine in that entry: det = D1*(t + s),
+    with D1 the determinant of the rest and t the Schur complement of the
+    entry at s = 0.  One elimination per weighting of the other bundles
+    therefore settles every value of s; when D1 = 0 the determinant does not
+    depend on s, and a second one gives it."""
+    size = nc - 1
+    last = max((i for i, ((_, b), _) in enumerate(bundles) if b == size),
+               key=lambda i: bundles[i][1])
+    (a, _), k = bundles[last]
+    last_weights = _bundle_weights(k, p)
+    last_total = (p - 1) ** k
+    # matrix index of each vertex, with a moved to the last row
+    pos = list(range(nc))
+    pos[a], pos[size - 1] = size - 1, a
+    others = []
+    choices = []
+    for i, ((u, v), k) in enumerate(bundles):
+        if i != last:
+            weights = _bundle_weights(k, p)
+            others.append((pos[u], pos[v]))
+            choices.append([(s, weights[s]) for s in range(p) if weights[s]])
+    count = 0
+    for assignment in itertools.product(*choices):
+        lap = [[0] * size for _ in range(size)]
+        ways = 1
+        for (u, v), (s, w) in zip(others, assignment):
+            ways *= w
+            lap[u][u] += s
+            if v < size:
+                lap[v][v] += s
+                lap[u][v] -= s
+                lap[v][u] -= s
+        reduced = [row[:] for row in lap]
+        if _eliminate(reduced, size - 1, p):
+            count += ways * (last_total - last_weights[-reduced[-1][-1] % p])
+        elif _eliminate(lap, size, p):
+            count += ways * last_total
+    return count
+
+
+def _random_stratum(rng):
+    """A connected loop-free multigraph on 2..6 vertices as (nc, bundles):
+    a random spanning tree plus random pairs, each a bundle of 1..3 edges."""
+    nc = rng.randint(2, 6)
+    pairs = {(rng.randrange(v), v) for v in range(1, nc)}
+    pairs |= {tuple(sorted(rng.sample(range(nc), 2)))
+              for _ in range(rng.randint(0, nc))}
+    return nc, tuple((e, rng.randint(1, 3)) for e in sorted(pairs))
+
+
+def test_two_row_weightings_match_the_reference(monkeypatch):
+    # every stratum that the point counts of the 7-vertex decompletions
+    # meet, collected once per isomorphism class with the memos cleared,
+    # then seeded random multigraphs, each at p = 2, 3, 5
+    strata = []
+    monkeypatch.setattr(residues, "_nonsingular_weightings",
+                        lambda nc, bundles, p: strata.append((nc, bundles))
+                        or 0)
+    _clear_point_count_memos()
+    for g in (circulant(7, (1, 2)), complement_c3_c4()):
+        for u in range(7):
+            point_count(delete_vertex(g, u), 2)
+    monkeypatch.undo()
+    _clear_point_count_memos()
+    assert {nc for nc, _ in strata} == {2, 3, 4, 5, 6}
+    rng = random.Random(21)
+    randoms = {}
+    while len(randoms) < 200:
+        nc, bundles = _random_stratum(rng)
+        if 2 ** sum(k for _, k in bundles) <= 2 * 10 ** 5:
+            randoms[nc, bundles] = None
+    assert {nc for nc, _ in randoms} == {2, 3, 4, 5, 6}
+    assert any(k == 3 for _, bundles in randoms for _, k in bundles)
+    # the two-row elimination is the one that leaves two rows uneliminated
+    leading = []
+
+    def spy(a, steps, p):
+        det = _eliminate(a, steps, p)
+        if steps == len(a) - 2:
+            leading.append(det)
+        return det
+    monkeypatch.setattr(residues, "_eliminate", spy)
+    for nc, bundles in strata:
+        for p in (2, 3, 5):
+            assert _nonsingular_weightings(nc, bundles, p) == \
+                reference_nonsingular_weightings(nc, bundles, p), \
+                (nc, bundles, p)
+    for nc, bundles in randoms:
+        m = sum(k for _, k in bundles)
+        for p in (2, 3, 5):
+            if p ** m <= 2 * 10 ** 5:
+                assert _nonsingular_weightings(nc, bundles, p) == \
+                    reference_nonsingular_weightings(nc, bundles, p), \
+                    (nc, bundles, p)
+    # both branches ran: det A != 0 (the Schur complement) and det A = 0
+    assert any(leading) and not all(leading)
+
+
 def test_point_count_validation():
     with pytest.raises(ValueError):
         point_count(complete_graph(4), 4)
@@ -358,6 +465,20 @@ def test_c2_point_count_at_five_matches_martin():
     octa = octahedron()
     a = c2(delete_vertex(octa, 0), 5).residue
     assert a == c2_from_martin(octa, 5).residue == 4
+
+
+def test_c2_point_count_at_five_on_seven_vertex_completions():
+    # 5^10 points per decompletion: over the default budget, within 10^7;
+    # both orbits of the complement of C3+C4
+    c7 = circulant(7, (1, 2))
+    c3c4 = complement_c3_c4()
+    with pytest.raises(BudgetExceeded):
+        c2(delete_vertex(c7, 0), 5)
+    for g, vertices, value in ((c7, (0,), 4), (c3c4, (0, 3), 0)):
+        assert c2_from_martin(g, 5).residue == value
+        for v in vertices:
+            h = delete_vertex(g, v)
+            assert c2(h, 5, budget=10 ** 7).residue == value, (g, v)
 
 
 def test_c2_from_martin_validation():
