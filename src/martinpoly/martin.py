@@ -17,6 +17,9 @@ The order is computed once per graph and kept on it, and it fixes every
 step's frontier, so a state is one int with a fixed-width field per pair of
 that frontier, in one fixed order, and a child is the fields that stay,
 shifted down, plus one class's packed addition: one integer sum per child.
+The classes are enumerated once per sorted multiset of the pivot's nonzero
+multiplicities and kept compact; each vector of multiplicities packs its
+multiset's classes, with the positions permuted back, once.
 The polynomial's values are ints too, each its coefficient list at a power
 of two wide enough that no coefficient carries into the next.
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import lshift
 
 from . import polynomial as poly
 from .multigraph import (_classes, canonical_form, duplicate, regular_degree,
@@ -128,9 +132,34 @@ def _leave(w, t, loops, width):
             sum(field << s * width for s in feed))
 
 
+# (sorted nonzero profile, loops) -> its transition classes, one
+# (L, coeffs, upper) per loop vector L (see _profile_classes)
+_CLASSES = {}
 # (loops, field width) -> the pivot's multiplicities to the next frontier
 # -> its transition classes as packed additions (see _resolve)
 _RESOLVED = {}
+
+
+def _profile_classes(profile, loops):
+    """The transition classes at a pivot whose neighbours have the
+    multiplicities profile, sorted, kept in _CLASSES: one (L, coeffs, upper)
+    per loop vector L, with its classes' coefficients and their matrices'
+    upper triangles, column by column, one class after another.  upper is
+    one byte per entry, or a tuple when an entry exceeds 255, which only a
+    pivot of degree 512 or more can make.  The classes come from the body of
+    _classes, so that its cache is not filled as well."""
+    got = _CLASSES.get((profile, loops))
+    if got is None:
+        by_loops = {}
+        for D, L, coeff in _classes.__wrapped__(profile, loops):
+            coeffs, upper = by_loops.setdefault(L, ([], []))
+            coeffs.append(coeff)
+            upper += [D[x][y] for y in range(len(D)) for x in range(y)]
+        got = _CLASSES[profile, loops] = tuple(
+            (L, tuple(coeffs),
+             bytes(upper) if max(upper, default=0) < 256 else tuple(upper))
+            for L, (coeffs, upper) in by_loops.items())
+    return got
 
 
 def _resolve(mult, loops, width):
@@ -139,22 +168,31 @@ def _resolve(mult, loops, width):
     state, with its coefficient: one (made, diagonal, pairs) per loop
     vector, the (position, count) of the loops it makes, their packed
     addition to the diagonal slots, and its classes' (delta, coeff) pairs.
-    Without loops there is one, which makes none.  The classes come from
-    the body of _classes, so that its cache is not filled as well."""
-    at = [p for p, m in enumerate(mult) if m]
+    Without loops there is one, which makes none.
+
+    The classes are those of the sorted multiset of the nonzero
+    multiplicities (_profile_classes), so the vectors that permute one
+    multiset share one enumeration: the positions are sorted by
+    multiplicity, and each class is packed with the positions permuted
+    back, a pair's slot from the smaller and the larger of its two
+    positions and a loop's from its position's diagonal slot."""
+    at = sorted((p for p, m in enumerate(mult) if m), key=mult.__getitem__)
     half = 1 if loops else -1
-    upper = [(x, y, (q * (q + half) // 2 + p) * width)
-             for y, q in enumerate(at) for x, p in enumerate(at[:y])]
-    classes = _classes.__wrapped__(tuple(mult[p] for p in at), loops)
-    pairs = [(sum(D[x][y] << s for x, y, s in upper), coeff)
-             for D, _, coeff in classes]
-    by_loops = {}
-    for (_, L, _), pair in zip(classes, pairs):
-        by_loops.setdefault(L, []).append(pair)
-    return tuple((tuple((at[x], c) for x, c in enumerate(L) if c),
-                  sum(c << at[x] * (at[x] + 3) // 2 * width
-                      for x, c in enumerate(L)), tuple(batch))
-                 for L, batch in by_loops.items())
+    shifts = [(b * (b + half) // 2 + a if a < b else a * (a + half) // 2 + b)
+              * width for y, b in enumerate(at) for a in at[:y]]
+    diagonal = [p * (p + 3) // 2 * width for p in at]
+    out = []
+    for L, coeffs, upper in _profile_classes(tuple(mult[p] for p in at),
+                                             loops):
+        if shifts:
+            rows = zip(*[iter(upper)] * len(shifts))
+            deltas = [sum(map(lshift, row, shifts)) for row in rows]
+        else:
+            deltas = [0] * len(coeffs)
+        out.append((tuple((at[x], c) for x, c in enumerate(L) if c),
+                    sum(c << s for c, s in zip(L, diagonal)),
+                    tuple(zip(deltas, coeffs))))
+    return tuple(out)
 
 
 def _eliminate(g, k=None):
@@ -165,9 +203,10 @@ def _eliminate(g, k=None):
     the polynomial the self-loops already stripped at one.  The eliminated
     vertex leaves the frontier and those of its later neighbours not on it
     join at the end, so a child is the state's fields that stay, shifted
-    down, plus one class's packed addition.  The states that agree on the
-    pivot's fields give it one neighbour profile, and they share one
-    resolution of its classes into additions (_resolve, kept in _RESOLVED).
+    down, plus one class's packed addition.  Each step visits each state
+    once: the states that agree on the pivot's fields give it one vector of
+    multiplicities, whose resolution into additions (_resolve, kept in
+    _RESOLVED) a dict kept for the step finds from those fields.
 
     With k, g is loop-free and 2k-regular with n >= 3, and the result is M:
     loop-free classes only, a child dropped once a pair holds more than k
@@ -191,7 +230,7 @@ def _eliminate(g, k=None):
     loops = k is None
     if loops:
         degree = [sum(a.values()) for a in adj]  # with every loop stripped
-        dmax = max(g.degrees() + [1])  # no field holds more
+        dmax = max(g.degrees() + (1,))  # no field holds more
         width = dmax.bit_length()
         systems = 1
         for d in g.degrees():
@@ -245,38 +284,34 @@ def _eliminate(g, k=None):
         # the pivot's multiplicities to the next frontier are the input's
         # plus, for the vertices that stay, what a state holds at feed
         base = [nbrs.get(u, 0) for u in nfront]
-        groups = {}
-        for state in states:
-            row = state & mask
-            members = groups.get(row)
-            if members is None:
-                members = groups[row] = []
-            members.append(state)
+        resolutions = {}  # the pivot's fields -> its resolution
         children = {}
-        for row, members in groups.items():
-            mult = base[:]
-            for p, s in enumerate(feed):
-                mult[p] += row >> s & field
-            mult = tuple(mult)
-            resolved = cache.get(mult)
+        for state, value in states.items():
+            row = state & mask
+            resolved = resolutions.get(row)
             if resolved is None:
-                resolved = cache[mult] = _resolve(mult, loops, width)
-            for state in members:
-                value = states[state]
-                start = 0
-                for s, m in runs:
-                    start |= state >> s & m
-                for made, diagonal, pairs in resolved:
-                    term = value
-                    for p, c in made:
-                        s, d = made_at[p]
-                        term *= factor[d - 2 * (start >> s & field)][c]
-                    looped = start + diagonal
-                    biased = looped + bias
-                    for delta, coeff in pairs:
-                        if not biased + delta & guard:
-                            key = looped + delta
-                            children[key] = children.get(key, 0) + coeff * term
+                mult = base[:]
+                for p, s in enumerate(feed):
+                    mult[p] += row >> s & field
+                mult = tuple(mult)
+                resolved = cache.get(mult)
+                if resolved is None:
+                    resolved = cache[mult] = _resolve(mult, loops, width)
+                resolutions[row] = resolved
+            start = 0
+            for s, m in runs:
+                start |= state >> s & m
+            for made, diagonal, pairs in resolved:
+                term = value
+                for p, c in made:
+                    s, d = made_at[p]
+                    term *= factor[d - 2 * (start >> s & field)][c]
+                looped = start + diagonal
+                biased = looped + bias
+                for delta, coeff in pairs:
+                    if not biased + delta & guard:
+                        key = looped + delta
+                        children[key] = children.get(key, 0) + coeff * term
         states, front = children, nfront
     total = sum(states.values())
     if not loops:

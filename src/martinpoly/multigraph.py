@@ -21,7 +21,8 @@ from math import factorial
 
 
 class Multigraph:
-    __slots__ = ("n", "mult", "loops", "_key", "_canon", "_adj", "_order")
+    __slots__ = ("n", "mult", "loops", "_key", "_canon", "_adj", "_order",
+                 "_degrees")
 
     def __init__(self, n, mult=None, loops=None):
         mult = dict(mult or {})
@@ -48,15 +49,19 @@ class Multigraph:
         self._canon = None
         self._adj = None
         self._order = None
+        self._degrees = None
 
     # -- basic queries -------------------------------------------------
 
     def degrees(self):
-        d = [2 * self.loops.get(v, 0) for v in range(self.n)]
-        for (a, b), m in self.mult.items():
-            d[a] += m
-            d[b] += m
-        return d
+        """Per-vertex degree, a loop counting 2; a tuple, kept on the graph."""
+        if self._degrees is None:
+            d = [2 * self.loops.get(v, 0) for v in range(self.n)]
+            for (a, b), m in self.mult.items():
+                d[a] += m
+                d[b] += m
+            self._degrees = tuple(d)
+        return self._degrees
 
     def adjacency(self):
         """Per-vertex dict of neighbor -> multiplicity (loops excluded)."""

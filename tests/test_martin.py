@@ -3,6 +3,7 @@ order independence, agreement with the memoized recursion the frontier
 elimination replaced, divisibility, and symmetry-factor bridges."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -44,6 +45,7 @@ from martinpoly.multigraph import (
     transition_classes,
 )
 from martinpoly.polynomial import evaluate
+from martinpoly.residues import c2_from_martin
 from martinpoly.structure import (
     EdgeCut,
     _all_cuts,
@@ -348,6 +350,45 @@ def reference_eliminate(g, k=None, profiles=None, order=None):
     if loops:
         return states[()]
     return sum(states.values())
+
+
+# ------------------------------------------------- the reference resolution
+#
+# martin._resolve before the classes were kept per sorted multiset of
+# multiplicities: each vector enumerates its own classes, with its nonzero
+# positions in frontier order.  test_resolution_matches_the_reference runs
+# martin._resolve against it.
+
+def reference_resolve(mult, loops, width):
+    """The transition classes of a pivot with multiplicities mult to the
+    next frontier, each as the packed addition delta of its new edges to a
+    state, with its coefficient: one (made, diagonal, pairs) per loop
+    vector, the (position, count) of the loops it makes, their packed
+    addition to the diagonal slots, and its classes' (delta, coeff) pairs.
+    Without loops there is one, which makes none.  The classes come from
+    the body of _classes, so that its cache is not filled as well."""
+    at = [p for p, m in enumerate(mult) if m]
+    half = 1 if loops else -1
+    upper = [(x, y, (q * (q + half) // 2 + p) * width)
+             for y, q in enumerate(at) for x, p in enumerate(at[:y])]
+    classes = _classes.__wrapped__(tuple(mult[p] for p in at), loops)
+    pairs = [(sum(D[x][y] << s for x, y, s in upper), coeff)
+             for D, _, coeff in classes]
+    by_loops = {}
+    for (_, L, _), pair in zip(classes, pairs):
+        by_loops.setdefault(L, []).append(pair)
+    return tuple((tuple((at[x], c) for x, c in enumerate(L) if c),
+                  sum(c << at[x] * (at[x] + 3) // 2 * width
+                      for x, c in enumerate(L)), tuple(batch))
+                 for L, batch in by_loops.items())
+
+
+def _resolved_classes(resolved):
+    """The multiset of (loops made, diagonal, delta, coeff) of a
+    resolution."""
+    return Counter((frozenset(made), diagonal, delta, coeff)
+                   for made, diagonal, pairs in resolved
+                   for delta, coeff in pairs)
 
 
 # ------------------------------------------------------------ small polynomials
@@ -667,6 +708,66 @@ def test_the_kernel_fills_no_transition_class_cache():
     martin._eliminate(duplicate(g10, 3), 6)
     martin._eliminate(g10)
     assert _classes.cache_info().currsize == 0
+
+
+def test_resolution_matches_the_reference(monkeypatch):
+    # every multiplicity vector the kernel meets resolves into the classes
+    # the reference enumerates for it in frontier order, although they come
+    # from its sorted multiset with the positions permuted back; and with
+    # the tables cleared, resolving them all enumerates each (sorted
+    # profile, loops) once.  The pools are those of the kernel differential
+    # test above, with g10 up to r = 6, and C4^[256], whose one class holds
+    # a bundle of 256
+    g10, nx16 = _cyclically_6_connected_10_vertex(), _nx16()
+    plain = batch_scale_graphs()
+    small = [g for degree, top in ((4, 5), (6, 4))
+             for n in range(1, top + 1) for g in generated(n, degree=degree)]
+    wide = duplicate(cycle(4), 256)
+    invariants = plain + [duplicate(g, 2) for g in plain]
+    invariants += [duplicate(g10, r) for r in range(1, 7)]
+    invariants += [duplicate(nx16, 2), wide]
+    invariants += [g for g in small + generated(5, degree=6)
+                   if g.n >= 3 and not g.loops]
+    polynomials = plain + [g10, nx16] + small
+    met = set()
+    resolve = martin._resolve
+
+    def spy(mult, loops, width):
+        got = resolve(mult, loops, width)
+        assert (_resolved_classes(got) == _resolved_classes(
+            reference_resolve(mult, loops, width))), (mult, loops, width)
+        met.add((mult, loops, width))
+        return got
+    monkeypatch.setattr(martin, "_resolve", spy)
+    monkeypatch.setattr(martin, "_CLASSES", {})
+    monkeypatch.setattr(martin, "_RESOLVED", {})
+    for g in invariants:
+        martin._eliminate(g, g.degrees()[0] // 2)
+    for g in polynomials:
+        martin._eliminate(g)
+    assert martin._eliminate(wide, 256) == reference_invariant(wide)
+
+    enumerated = Counter()
+    enumerate_classes = _classes.__wrapped__
+
+    def count(d, loops=True):
+        enumerated[d, loops] += 1
+        return enumerate_classes(d, loops)
+    monkeypatch.setattr(_classes, "__wrapped__", count)
+    monkeypatch.setattr(martin, "_CLASSES", {})
+    for mult, loops, width in met:
+        resolve(mult, loops, width)
+    assert set(enumerated.values()) == {1}
+    assert all(list(d) == sorted(d) for d, _ in enumerated)
+    assert len(met) > 2 * len(enumerated)
+
+
+def test_c2_of_g10_by_the_martin_route():
+    # c2 = M(g^[p-1]) / (3p) mod p.  No other route here reaches p = 11: a
+    # decompletion of g10 has 16 edges, and the budget of a point count
+    # bounds its 11^16 points
+    g10 = _cyclically_6_connected_10_vertex()
+    assert [c2_from_martin(g10, p).residue for p in (5, 7, 11)] == [4, 6, 10]
 
 
 def _bundle_across_a_weak_cut():

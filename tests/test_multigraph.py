@@ -57,19 +57,20 @@ def test_from_edges_counts():
     g = from_edges(3, [(0, 1), (0, 1), (0, 2), (1, 2), (2, 2)])
     assert g.n == 3
     assert g.edge_count() == 5
-    assert g.degrees() == [3, 3, 4]  # one loop contributes 2
+    assert g.degrees() == (3, 3, 4)  # one loop contributes 2
+    assert g.degrees() is g.degrees()  # kept on the graph
     assert g.loops.get(2) == 1
     assert g.loops
 
 
 def test_degrees_of_named_families():
-    assert complete_graph(5).degrees() == [4] * 5
-    assert rose(2).degrees() == [4]
-    assert dipole(3).degrees() == [3, 3]
-    assert octahedron().degrees() == [4] * 6
-    assert circulant(8, (1, 2)).degrees() == [4] * 8
+    assert complete_graph(5).degrees() == (4,) * 5
+    assert rose(2).degrees() == (4,)
+    assert dipole(3).degrees() == (3, 3)
+    assert octahedron().degrees() == (4,) * 6
+    assert circulant(8, (1, 2)).degrees() == (4,) * 8
     # jump n/2 contributes a single edge, not a double one
-    assert circulant(6, (1, 3)).degrees() == [3] * 6
+    assert circulant(6, (1, 3)).degrees() == (3,) * 6
 
 
 def test_edge_instances_enumeration():
@@ -532,7 +533,7 @@ def test_duplicate_multiplies_every_edge():
     h = duplicate(g, 3)
     assert h.n == g.n
     assert h.edge_count() == 3 * g.edge_count()
-    assert h.degrees() == [3 * d for d in g.degrees()]
+    assert h.degrees() == tuple(3 * d for d in g.degrees())
     assert h.loops.get(2) == 3
 
 
@@ -551,7 +552,7 @@ def test_delete_vertex_mapping():
     assert mapping == {0: 0, 1: 1}
     assert h.edge_count() == 3  # the triple edge survives, loop at 2 is gone
     assert not h.loops
-    assert h.degrees() == [3, 3]
+    assert h.degrees() == (3, 3)
 
 
 # ------------------------------------------------------------------ transitions
@@ -711,7 +712,7 @@ def test_apply_transition_preserves_surviving_degrees():
         (k4_112(), 2),
     ):
         before = g.degrees()
-        expect = [before[u] for u in range(g.n) if u != v]
+        expect = tuple(before[u] for u in range(g.n) if u != v)
         for D, _, coeff in transition_classes(g, v, loops=False):
             assert coeff > 0
             h = apply_transition(g, v, D)
