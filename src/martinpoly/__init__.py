@@ -8,8 +8,6 @@ from .multigraph import (
     duplicate,
     delete_vertex,
     induced_subgraph,
-    transition_classes,
-    apply_transition,
     canonical_form,
     is_isomorphic,
     planar_dual,
@@ -39,8 +37,6 @@ __all__ = [
     "duplicate",
     "delete_vertex",
     "induced_subgraph",
-    "transition_classes",
-    "apply_transition",
     "canonical_form",
     "is_isomorphic",
     "planar_dual",

@@ -281,7 +281,7 @@ def _suite_identities(max_vertices):
                 continue
             ok = ok and martin.martin_invariant(g) == \
                 oracle.invariant_from_polynomial(martin.martin_polynomial(g), g)
-    _check(ok, "recursion matches the polynomial's derivative", failures)
+    _check(ok, "elimination matches the polynomial's derivative", failures)
     return failures
 
 
@@ -292,7 +292,7 @@ def _suite_oracles(max_vertices):
         for g in families.regular_multigraphs(n, 4):
             value = oracle.martin_brute_force(g)
             ok = ok and value.polynomial == tuple(martin.martin_polynomial(g))
-    _check(ok, "recursion matches the brute-force polynomial", failures)
+    _check(ok, "elimination matches the brute-force polynomial", failures)
     k4 = families.complete_graph(4)
     _check(oracle.count_tree_partitions(k4, 2, ordered=False) == 6,
            "tree partitions of the 4-clique", failures)
@@ -402,6 +402,8 @@ def main(argv=None):
             error("--primes: %r is not a positive integer" % p)
         tasks.append("c2@%d" % int(p))
     tasks = list(dict.fromkeys(tasks))  # a task named twice runs once
+    if not tasks:
+        error("no task: --tasks, --rmax and --primes name none")
     try:
         records = parse_graph_file(args.input)
     except (OSError, ValueError) as exc:
@@ -424,8 +426,7 @@ def main(argv=None):
         else:
             out.write("class\tmembers\tinvariants\n")
             for i, (sig, names) in enumerate(group_by_invariant(computed, tasks)):
-                desc = ";".join("%s=%s" % kv for kv in sig) \
-                    if sig and isinstance(sig[0], tuple) else "incomplete"
+                desc = ";".join("%s=%s" % kv for kv in sig)
                 out.write("%d\t%s\t%s\n" % (i, ",".join(names), desc))
     finally:
         if args.out:

@@ -146,12 +146,11 @@ def _profile_classes(profile, loops):
     per loop vector L, with its classes' coefficients and their matrices'
     upper triangles, column by column, one class after another.  upper is
     one byte per entry, or a tuple when an entry exceeds 255, which only a
-    pivot of degree 512 or more can make.  The classes come from the body of
-    _classes, so that its cache is not filled as well."""
+    pivot of degree 512 or more can make."""
     got = _CLASSES.get((profile, loops))
     if got is None:
         by_loops = {}
-        for D, L, coeff in _classes.__wrapped__(profile, loops):
+        for D, L, coeff in _classes(profile, loops):
             coeffs, upper = by_loops.setdefault(L, ([], []))
             coeffs.append(coeff)
             upper += [D[x][y] for y in range(len(D)) for x in range(y)]

@@ -10,13 +10,12 @@ Conventions used throughout the package:
 
 Graphs are immutable values: an operation returns a new graph, or its
 input when nothing changes.  The canonical form (an isomorphism-invariant
-byte string) is what makes the memoized recursions elsewhere sound, so it
-gets the most careful treatment in this module.
+byte string) keys the whole-input memos and the census cache elsewhere, so
+it gets the most careful treatment in this module.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
 
 
@@ -260,7 +259,6 @@ def _symmetric_matrices(d, visit, loops=False):
     row(0)
 
 
-@lru_cache(maxsize=None)
 def _classes(d, loops=True):
     """Transition classes at a loop-free pivot whose neighbours, in
     increasing order, have edge multiplicities d: triples (D, L, coeff).
@@ -288,6 +286,9 @@ def _classes(d, loops=True):
     _symmetric_matrices(d, visit, loops)
     out.sort(key=lambda c: c[1])
     return tuple(out)
+
+
+# -- the transition step, the tests' reference for martin._eliminate -----
 
 
 def _pivot_adjacency(g, v):

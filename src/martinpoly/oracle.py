@@ -3,8 +3,8 @@ tree/forest-partition counters, diagonal coefficients of tree polynomials,
 edge-cut enumeration, raw transition-system sums, exact Kirchhoff
 evaluations, the point-by-point F_p sweep, and Ryser's permanent.
 
-Everything in this module is deliberately naive.  It exists so the clever
-recursions elsewhere have something slow and obviously-correct to answer to.
+Everything in this module is deliberately naive.  It exists so the fast
+routines elsewhere have something slow and obviously-correct to answer to.
 """
 
 from __future__ import annotations

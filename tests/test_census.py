@@ -339,9 +339,10 @@ def test_cli_compute_writes_tsv_and_reruns_identically(tmp_path):
     (["--cache", "."], "--cache: [Errno 21] Is a directory"),
     (["--cache", "missing/cache.tsv"], "--cache: [Errno 2] No such file"),
     (["--out", "missing/out.tsv"], "--out: [Errno 2] No such file"),
+    (["--tasks", ""], "no task: --tasks, --rmax and --primes name none"),
 ], ids=["primes-word", "primes-negative", "primes-zero", "rmax-negative",
         "rmax-zero", "input-missing", "input-malformed", "cache-directory",
-        "cache-missing-directory", "out-missing-directory"])
+        "cache-missing-directory", "out-missing-directory", "tasks-empty"])
 def test_cli_rejects_bad_arguments_with_one_line(tmp_path, monkeypatch,
                                                  capsys, args, message):
     monkeypatch.chdir(tmp_path)

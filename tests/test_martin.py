@@ -365,13 +365,12 @@ def reference_resolve(mult, loops, width):
     state, with its coefficient: one (made, diagonal, pairs) per loop
     vector, the (position, count) of the loops it makes, their packed
     addition to the diagonal slots, and its classes' (delta, coeff) pairs.
-    Without loops there is one, which makes none.  The classes come from
-    the body of _classes, so that its cache is not filled as well."""
+    Without loops there is one, which makes none."""
     at = [p for p, m in enumerate(mult) if m]
     half = 1 if loops else -1
     upper = [(x, y, (q * (q + half) // 2 + p) * width)
              for y, q in enumerate(at) for x, p in enumerate(at[:y])]
-    classes = _classes.__wrapped__(tuple(mult[p] for p in at), loops)
+    classes = _classes(tuple(mult[p] for p in at), loops)
     pairs = [(sum(D[x][y] << s for x, y, s in upper), coeff)
              for D, _, coeff in classes]
     by_loops = {}
@@ -700,14 +699,17 @@ def test_slot_states_match_the_reference_kernel(monkeypatch):
             check(g, order)
 
 
-def test_the_kernel_fills_no_transition_class_cache():
-    # the kernel keeps its resolved classes in one cache of its own, so
-    # the lru_cache of _classes stays empty however many profiles it meets
+def test_the_kernel_fills_no_transition_class_cache(monkeypatch):
+    # _classes is a plain enumerator: the kernel's own tables, the classes
+    # per sorted profile and their resolutions per vector, are the only
+    # caches of transition classes, and M and J each fill both
+    assert not hasattr(_classes, "cache_info")
     g10 = _cyclically_6_connected_10_vertex()
-    _classes.cache_clear()
-    martin._eliminate(duplicate(g10, 3), 6)
-    martin._eliminate(g10)
-    assert _classes.cache_info().currsize == 0
+    for g, k in ((duplicate(g10, 3), 6), (g10, None)):
+        monkeypatch.setattr(martin, "_CLASSES", {})
+        monkeypatch.setattr(martin, "_RESOLVED", {})
+        martin._eliminate(g, k)
+        assert martin._CLASSES and martin._RESOLVED
 
 
 def test_resolution_matches_the_reference(monkeypatch):
@@ -748,12 +750,11 @@ def test_resolution_matches_the_reference(monkeypatch):
     assert martin._eliminate(wide, 256) == reference_invariant(wide)
 
     enumerated = Counter()
-    enumerate_classes = _classes.__wrapped__
 
     def count(d, loops=True):
         enumerated[d, loops] += 1
-        return enumerate_classes(d, loops)
-    monkeypatch.setattr(_classes, "__wrapped__", count)
+        return _classes(d, loops)
+    monkeypatch.setattr(martin, "_classes", count)
     monkeypatch.setattr(martin, "_CLASSES", {})
     for mult, loops, width in met:
         resolve(mult, loops, width)
