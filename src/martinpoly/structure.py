@@ -171,7 +171,7 @@ def split_edge_cut(g, cut):
     return contract(side), contract(set(range(g.n)) - side)
 
 
-def _decompose_graphs(g, rng=None):
+def _decompose_graphs(g):
     d = 2 * regular_half_degree(g)
     if g.n < 3:
         raise ValueError("decomposition needs at least 3 vertices")
@@ -188,19 +188,17 @@ def _decompose_graphs(g, rng=None):
         if not cuts:
             factors.append(h)
             continue
-        side = cuts[0] if rng is None else cuts[rng.randrange(len(cuts))]
-        h1, h2 = split_edge_cut(h, EdgeCut(side, d))
+        h1, h2 = split_edge_cut(h, EdgeCut(cuts[0], d))
         stack.append(h1)
         stack.append(h2)
     return factors
 
 
-def decompose(g, rng=None):
+def decompose(g):
     """Multiset (sorted tuple) of canonical keys of the cyclically-connected
     factors obtained by repeatedly splitting nontrivial minimum cuts.  The
-    multiset does not depend on the order of cuts; rng, if given, randomizes
-    the order (used to exercise exactly that)."""
-    return tuple(sorted(canonical_form(f) for f in _decompose_graphs(g, rng)))
+    multiset does not depend on which cut is split first."""
+    return tuple(sorted(canonical_form(f) for f in _decompose_graphs(g)))
 
 
 def is_totally_decomposable(g):

@@ -1,6 +1,7 @@
 """Shared graph builders, generated-class fixtures, and the acceptance log."""
 
 import os
+import random
 import sys
 
 import pytest
@@ -12,6 +13,7 @@ from martinpoly.families import (circulant, complete_graph, cycle,
                                  four_vertex_regular, octahedron,
                                  regular_multigraphs)
 from martinpoly.multigraph import Multigraph, duplicate, from_edges
+from martinpoly.structure import nontrivial_cuts
 
 
 # -- named graphs used across several test modules ----------------------
@@ -57,6 +59,15 @@ def random_12_vertex():
         (0, 3), (0, 5), (0, 7), (0, 10), (1, 4), (1, 8), (1, 9), (1, 10),
         (2, 3), (2, 6), (2, 7), (2, 8), (3, 4), (3, 9), (4, 7), (4, 10),
         (5, 6), (5, 8), (5, 11), (6, 8), (6, 9), (7, 11), (9, 11), (10, 11)])
+
+
+def cyclically_6_connected_10_vertex():
+    """A cyclically 6-connected simple 4-regular graph on 10 vertices, g10
+    for short."""
+    return from_edges(10, [
+        (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 6), (1, 8),
+        (2, 4), (2, 5), (2, 9), (3, 4), (3, 9), (4, 8), (5, 6), (5, 7),
+        (6, 7), (7, 8), (7, 9), (8, 9)])
 
 
 def random_18_vertex():
@@ -127,6 +138,27 @@ def twist_pair_ten_vertex():
     side = {(0, 1): 1, (0, 4): 1, (1, 5): 1, (1, 6): 1, (1, 8): 1,
             (4, 5): 1, (4, 6): 1, (4, 7): 1, (6, 7): 1, (6, 8): 1}
     return g, (0, 5, 7, 8), side, (2, 3, 0, 1)
+
+
+# -- seeded random cut orders --------------------------------------------
+
+def shuffled_cuts(monkeypatch, seed):
+    """From here on structure.decompose splits its cuts in a seeded random
+    order: nontrivial_cuts returns them shuffled, so the first of its list
+    is a random cut.  Returns a list that gets, per split, whether the cut
+    taken was not the first of the unshuffled list."""
+    rng = random.Random(seed)
+    moved = []
+
+    def shuffled(g, size):
+        cuts = nontrivial_cuts(g, size)
+        out = list(cuts)
+        rng.shuffle(out)
+        if out:
+            moved.append(out[0] != cuts[0])
+        return out
+    monkeypatch.setattr("martinpoly.structure.nontrivial_cuts", shuffled)
+    return moved
 
 
 # -- generated graph classes, shared across the whole session -----------

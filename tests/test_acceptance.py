@@ -60,6 +60,7 @@ from conftest import (
     glued_k5_octahedron,
     k3_113,
     k4_112,
+    shuffled_cuts,
     twist_pair_ten_vertex,
 )
 
@@ -260,7 +261,8 @@ def test_criterion_07_c2_routes(acceptance):
 
 
 def test_criterion_08_structural_identities(acceptance, small_multigraphs,
-                                            seven_vertex_multigraphs):
+                                            seven_vertex_multigraphs,
+                                            monkeypatch):
     def body(failures):
         pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
         matched = from_edges(8, pairs + [(a + 4, b + 4) for a, b in pairs]
@@ -306,11 +308,17 @@ def test_criterion_08_structural_identities(acceptance, small_multigraphs,
                     break
         if twisted_pairs < 3:
             failures.append("fewer than 3 twisted pairs")
+        moved = []
         for seed in (5, 90):
             for base in (matched, duplicate(cycle(6), 2),
                          glued_k5_octahedron()):
-                if decompose(base) != decompose(base, random.Random(seed)):
+                first = decompose(base)
+                moved.append(shuffled_cuts(monkeypatch, seed))
+                if first != decompose(base):
                     failures.append(("decomposition order", base.n, seed))
+                monkeypatch.undo()
+        if not any(map(any, moved)):
+            failures.append("every shuffled split took the first cut")
         pools = dict(small_multigraphs)
         pools[7] = seven_vertex_multigraphs
         for n in (5, 6, 7):

@@ -415,8 +415,17 @@ def test_cli_report_groups_classes(tmp_path):
 
 def test_cli_verify_suites_pass(capsys):
     for suite in ("identities", "oracles", "residues", "closed-forms"):
-        rc = main(["verify", "--suite", suite, "--max-vertices", "5"])
+        rc = main(["verify", "--suite", suite])
         captured = capsys.readouterr()
         assert rc == 0, captured.out
         assert "FAIL" not in captured.out
         assert "ok -" in captured.out
+
+
+def test_cli_verify_takes_no_size(capsys):
+    # each suite checks fixed sizes, so no size can leave a suite's loop
+    # over graphs empty while it still prints ok
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "residues", "--max-vertices", "6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-vertices 6" in capsys.readouterr().err

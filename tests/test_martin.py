@@ -11,6 +11,7 @@ from math import factorial
 
 import pytest
 
+import memory_guard
 from martinpoly import martin
 from martinpoly import polynomial as poly
 from martinpoly.families import (
@@ -56,6 +57,7 @@ from martinpoly.structure import (
 
 from conftest import (
     batch_scale_graphs,
+    cyclically_6_connected_10_vertex,
     dunce_cap,
     eight_regular_six_vertex,
     five_r_cut,
@@ -78,6 +80,15 @@ _REF_INVARIANT = {}
 _REF_POLY = {}
 # labelled graph (Multigraph.key) -> canonical_form
 _REF_FRONT = {}
+# the library's _classes keeps no cache, so the references keep their own
+_ref_classes = lru_cache(maxsize=None)(_classes)
+
+
+def _ref_transition_classes(g, v, loops=True):
+    """transition_classes(g, v, loops) for a loop-free pivot v, from
+    _ref_classes."""
+    adj = g.adjacency()[v]
+    return _ref_classes(tuple(adj[w] for w in sorted(adj)), loops)
 
 
 def _ref_pivot(g, with_loops):
@@ -87,7 +98,7 @@ def _ref_pivot(g, with_loops):
     best, best_rank = None, None
     for v in range(g.n):
         nbrs = adj[v]
-        score = len(_classes(tuple(sorted(nbrs.values())), with_loops))
+        score = len(_ref_classes(tuple(sorted(nbrs.values())), with_loops))
         if best_rank is not None and score > best_rank[0]:
             continue
         triangles = 0 if with_loops else sum(
@@ -146,7 +157,7 @@ def _ref_expand_polynomial(g, comps):
         return _ref_loop_factor(((2 * g.loops[0], g.loops[0] - 1),))
     pivot = _ref_pivot(g, with_loops=True)
     result = ()
-    for D, L, coeff in transition_classes(g, pivot):
+    for D, L, coeff in _ref_transition_classes(g, pivot):
         child = apply_transition(g, pivot, D, L)
         result = poly.add(result, poly.scale(reference_polynomial(child),
                                              coeff))
@@ -196,7 +207,8 @@ def _ref_invariant(g, k):
     if result is None:
         pivot = _ref_pivot(g, with_loops=False)
         result = sum(coeff * _ref_invariant(apply_transition(g, pivot, D), k)
-                     for D, _, coeff in transition_classes(g, pivot, False))
+                     for D, _, coeff
+                     in _ref_transition_classes(g, pivot, False))
     _REF_INVARIANT[key] = result
     return result
 
@@ -314,7 +326,8 @@ def reference_eliminate(g, k=None, profiles=None, order=None):
             if profiles is not None:
                 profiles.add(tuple(sorted(nbrs.values())))
             last_loops = None
-            for D, L, coeff in _classes(tuple(nbrs[u] for u in ns), loops):
+            for D, L, coeff in _ref_classes(tuple(nbrs[u] for u in ns),
+                                            loops):
                 child = dict(kept)
                 capped = False
                 for p, a in enumerate(ns):
@@ -370,7 +383,7 @@ def reference_resolve(mult, loops, width):
     half = 1 if loops else -1
     upper = [(x, y, (q * (q + half) // 2 + p) * width)
              for y, q in enumerate(at) for x, p in enumerate(at[:y])]
-    classes = _classes(tuple(mult[p] for p in at), loops)
+    classes = _ref_classes(tuple(mult[p] for p in at), loops)
     pairs = [(sum(D[x][y] << s for x, y, s in upper), coeff)
              for D, _, coeff in classes]
     by_loops = {}
@@ -487,18 +500,16 @@ def test_pinned_sequence_of_a_random_12_vertex_graph():
         4280, 1924469536849920, 7860907058744035326321380818944]
 
 
-def _cyclically_6_connected_10_vertex():
-    """A cyclically 6-connected simple 4-regular graph on 10 vertices."""
-    return from_edges(10, [
-        (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 6), (1, 8),
-        (2, 4), (2, 5), (2, 9), (3, 4), (3, 9), (4, 8), (5, 6), (5, 7),
-        (6, 7), (7, 8), (7, 9), (8, 9)])
+def test_the_memory_guard_reads_g10_from_conftest():
+    # tests/memory_guard.py parses g10's edge list out of conftest.py, so
+    # that its fresh processes do not load pytest
+    assert memory_guard.g10() == cyclically_6_connected_10_vertex()
 
 
 def test_pinned_sequence_of_a_cyclically_6_connected_10_vertex_graph():
     # r = 4 is where the loop-making transition classes, which the invariant
     # never expands, outnumber the loop-free ones
-    g = _cyclically_6_connected_10_vertex()
+    g = cyclically_6_connected_10_vertex()
     assert martin_sequence(g, 4) == [
         608, 599176249344, 700491754121726949064704,
         89087784161686739313044005450426613760]
@@ -510,7 +521,7 @@ def test_pins_beyond_the_recursions_reach():
     # minutes where the elimination takes about a second at most (see
     # CHANGES.md); networkx.random_regular_graph(4, 24, seed=24) is kept as
     # a fixed edge list
-    g = duplicate(_cyclically_6_connected_10_vertex(), 6)
+    g = duplicate(cyclically_6_connected_10_vertex(), 6)
     assert martin_invariant(g) == int(
         "266138944055042923909965254228101293818990954708830519296"
         "00000000000000")
@@ -662,7 +673,7 @@ def test_slot_states_match_the_reference_kernel(monkeypatch):
     # more than k input edges is on a frontier only in some orders, not the
     # greedy one, so the small classes go through every order of the
     # vertices M eliminates
-    g10, nx16 = _cyclically_6_connected_10_vertex(), _nx16()
+    g10, nx16 = cyclically_6_connected_10_vertex(), _nx16()
     plain = batch_scale_graphs()
     small = [g for degree, top in ((4, 5), (6, 4))
              for n in range(1, top + 1) for g in generated(n, degree=degree)]
@@ -704,7 +715,7 @@ def test_the_kernel_fills_no_transition_class_cache(monkeypatch):
     # per sorted profile and their resolutions per vector, are the only
     # caches of transition classes, and M and J each fill both
     assert not hasattr(_classes, "cache_info")
-    g10 = _cyclically_6_connected_10_vertex()
+    g10 = cyclically_6_connected_10_vertex()
     for g, k in ((duplicate(g10, 3), 6), (g10, None)):
         monkeypatch.setattr(martin, "_CLASSES", {})
         monkeypatch.setattr(martin, "_RESOLVED", {})
@@ -720,7 +731,7 @@ def test_resolution_matches_the_reference(monkeypatch):
     # profile, loops) once.  The pools are those of the kernel differential
     # test above, with g10 up to r = 6, and C4^[256], whose one class holds
     # a bundle of 256
-    g10, nx16 = _cyclically_6_connected_10_vertex(), _nx16()
+    g10, nx16 = cyclically_6_connected_10_vertex(), _nx16()
     plain = batch_scale_graphs()
     small = [g for degree, top in ((4, 5), (6, 4))
              for n in range(1, top + 1) for g in generated(n, degree=degree)]
@@ -767,7 +778,7 @@ def test_c2_of_g10_by_the_martin_route():
     # c2 = M(g^[p-1]) / (3p) mod p.  No other route here reaches p = 11: a
     # decompletion of g10 has 16 edges, and the budget of a point count
     # bounds its 11^16 points
-    g10 = _cyclically_6_connected_10_vertex()
+    g10 = cyclically_6_connected_10_vertex()
     assert [c2_from_martin(g10, p).residue for p in (5, 7, 11)] == [4, 6, 10]
 
 

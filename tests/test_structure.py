@@ -35,6 +35,7 @@ from conftest import (
     glued_k5_octahedron,
     k3_113,
     random_18_vertex,
+    shuffled_cuts,
     twist_pair_ten_vertex,
 )
 
@@ -407,7 +408,7 @@ def test_decompose_factor_counts():
     assert len(decompose(_matched_double(2))) == 2
 
 
-def test_decompose_is_order_independent():
+def test_decompose_is_order_independent(monkeypatch):
     graphs = [
         duplicate(cycle(6), 2),
         five_r_cut(),
@@ -415,10 +416,14 @@ def test_decompose_is_order_independent():
         _matched_double(2),
         circulant(8, (1, 2)),
     ]
+    moved = []
     for g in graphs:
         base = decompose(g)
         for seed in (5, 17, 90):
-            assert decompose(g, random.Random(seed)) == base
+            moved.append(shuffled_cuts(monkeypatch, seed))
+            assert decompose(g) == base
+        monkeypatch.undo()
+    assert any(map(any, moved))  # a split took a cut other than the first
 
 
 def test_totally_decomposable_lower_bound():
