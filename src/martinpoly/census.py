@@ -358,10 +358,6 @@ def main(argv=None):
     batch.add_argument("--input", required=True)
     batch.add_argument("--tasks", default="M",
                        help="comma list: M, M<r>, poly, perm, c2@<p>")
-    batch.add_argument("--rmax", type=int, default=None,
-                       help="extend tasks with the Martin sequence up to r")
-    batch.add_argument("--primes", default="",
-                       help="comma list of primes for c2 tasks")
     batch.add_argument("--cache", default=None)
     batch.add_argument("--out", default=None)
 
@@ -381,21 +377,14 @@ def main(argv=None):
         return 1 if failures else 0
 
     error = (p_compute if args.verb == "compute" else p_report).error
-    tasks = [t for t in args.tasks.split(",") if t]
-    if args.rmax is not None:
-        if args.rmax < 1:
-            error("--rmax must be at least 1, not %d" % args.rmax)
-        for r in range(2, args.rmax + 1):
-            tasks.append("M%d" % r)
-    for p in args.primes.split(","):
-        if not p:
-            continue
-        if not re.fullmatch(r"[0-9]+", p) or int(p) < 1:
-            error("--primes: %r is not a positive integer" % p)
-        tasks.append("c2@%d" % int(p))
-    tasks = list(dict.fromkeys(tasks))  # a task named twice runs once
+    # a task named twice runs once
+    tasks = list(dict.fromkeys(t for t in args.tasks.split(",") if t))
     if not tasks:
-        error("no task: --tasks, --rmax and --primes name none")
+        error("no task: --tasks names none")
+    # opening --out truncates the file the cache then appends its lines to
+    if (args.cache and args.out and
+            os.path.realpath(args.cache) == os.path.realpath(args.out)):
+        error("--out names the --cache file %s" % args.out)
     try:
         records = parse_graph_file(args.input)
     except (OSError, ValueError) as exc:

@@ -104,6 +104,33 @@ def glued_k5_octahedron():
     return from_edges(8, edges)
 
 
+def chain_k5_c7_octahedron():
+    """14-vertex 4-regular chain of K5, C7(1,2) and the octahedron: each glue
+    deletes one vertex from each of two neighbouring graphs and joins their
+    freed edge ends in order.  Its two nontrivial 4-edge cuts have 4 and 9
+    vertices on vertex 0's side, so a split has a choice of cut, and it
+    decomposes into exactly those three graphs."""
+    # (graph, vertex deleted toward the previous graph, toward the next)
+    blocks = [(complete_graph(5), None, 4), (circulant(7, (1, 2)), 0, 3),
+              (octahedron(), 0, None)]
+    edges, ends, offset = [], [], 0
+    for g, back, ahead in blocks:
+        keep = [v for v in range(g.n) if v not in (back, ahead)]
+        label = {v: offset + i for i, v in enumerate(keep)}
+        freed = {back: [], ahead: []}
+        for u, v, _ in g.edge_instances():
+            if u in label and v in label:
+                edges.append((label[u], label[v]))
+            elif u in label:
+                freed[v].append(label[u])
+            else:
+                freed[u].append(label[v])
+        edges += zip(ends, freed[back])
+        ends = freed[ahead]
+        offset += len(keep)
+    return from_edges(offset, edges)
+
+
 def eight_regular_six_vertex(n12, n13, n23):
     """6-vertex 8-regular graph: w=1 and u=5 each double-edged to {2,3,4,0};
     inner multiplicities n_ij between 2,3,4 and complementary multiplicities

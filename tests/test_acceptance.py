@@ -53,6 +53,7 @@ from martinpoly.structure import (
 )
 
 from conftest import (
+    chain_k5_c7_octahedron,
     complement_c3_c4,
     dunce_cap,
     eight_regular_six_vertex,
@@ -311,7 +312,7 @@ def test_criterion_08_structural_identities(acceptance, small_multigraphs,
         moved = []
         for seed in (5, 90):
             for base in (matched, duplicate(cycle(6), 2),
-                         glued_k5_octahedron()):
+                         glued_k5_octahedron(), chain_k5_c7_octahedron()):
                 first = decompose(base)
                 moved.append(shuffled_cuts(monkeypatch, seed))
                 if first != decompose(base):

@@ -304,12 +304,12 @@ def test_cli_compute_writes_tsv_and_reruns_identically(tmp_path):
     out1 = tmp_path / "out1.tsv"
     out2 = tmp_path / "out2.tsv"
     cache = tmp_path / "cache.tsv"
-    rc = main(["compute", "--input", str(graphs), "--tasks", "M,perm",
-               "--rmax", "2", "--primes", "2,3",
+    rc = main(["compute", "--input", str(graphs),
+               "--tasks", "M,perm,M2,c2@2,c2@3",
                "--cache", str(cache), "--out", str(out1)])
     assert rc == 0
-    rc = main(["compute", "--input", str(graphs), "--tasks", "M,perm",
-               "--rmax", "2", "--primes", "2,3",
+    rc = main(["compute", "--input", str(graphs),
+               "--tasks", "M,perm,M2,c2@2,c2@3",
                "--cache", str(cache), "--out", str(out2)])
     assert rc == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -329,20 +329,17 @@ def test_cli_compute_writes_tsv_and_reruns_identically(tmp_path):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--primes", "x"], "--primes: 'x' is not a positive integer"),
-    (["--primes", "3,-5"], "--primes: '-5' is not a positive integer"),
-    (["--primes", "0"], "--primes: '0' is not a positive integer"),
-    (["--rmax", "-3"], "--rmax must be at least 1, not -3"),
-    (["--rmax", "0"], "--rmax must be at least 1, not 0"),
     (["--input", "missing.txt"], "--input: [Errno 2] No such file"),
     (["--input", "bad.txt"], "bad.txt:1: odd number of endpoints"),
     (["--cache", "."], "--cache: [Errno 21] Is a directory"),
     (["--cache", "missing/cache.tsv"], "--cache: [Errno 2] No such file"),
     (["--out", "missing/out.tsv"], "--out: [Errno 2] No such file"),
-    (["--tasks", ""], "no task: --tasks, --rmax and --primes name none"),
-], ids=["primes-word", "primes-negative", "primes-zero", "rmax-negative",
-        "rmax-zero", "input-missing", "input-malformed", "cache-directory",
-        "cache-missing-directory", "out-missing-directory", "tasks-empty"])
+    (["--cache", "same.tsv", "--out", "./same.tsv"],
+     "--out names the --cache file"),
+    (["--tasks", ""], "no task: --tasks names none"),
+], ids=["input-missing", "input-malformed", "cache-directory",
+        "cache-missing-directory", "out-missing-directory", "out-is-cache",
+        "tasks-empty"])
 def test_cli_rejects_bad_arguments_with_one_line(tmp_path, monkeypatch,
                                                  capsys, args, message):
     monkeypatch.chdir(tmp_path)
@@ -362,26 +359,41 @@ def test_cli_rejects_bad_arguments_with_one_line(tmp_path, monkeypatch,
         assert message in last, err
 
 
-def test_cli_primes_skip_empty_fields(tmp_path):
+def test_cli_tasks_skip_empty_fields(tmp_path):
     graphs = tmp_path / "graphs.txt"
     graphs.write_text(_graph_line("octa", octahedron()))
     outs = []
-    for primes in ("2,,3", ",2,3,"):
+    for tasks in (",M,,c2@2,", "M,c2@2"):
         out = tmp_path / ("out%d.tsv" % len(outs))
-        assert main(["compute", "--input", str(graphs), "--primes", primes,
+        assert main(["compute", "--input", str(graphs), "--tasks", tasks,
                      "--out", str(out)]) == 0
         outs.append(out.read_text())
     assert outs[0] == outs[1]
     header, row = outs[0].splitlines()
-    assert header.split("\t") == ["name", "n", "degree", "M", "c2@2", "c2@3"]
-    assert row.split("\t")[-2:] == ["1 mod 2", "2 mod 3"]
+    assert header.split("\t") == ["name", "n", "degree", "M", "c2@2"]
+    assert row.split("\t")[-2:] == ["14", "1 mod 2"]
+
+
+@pytest.mark.parametrize("args", [["--rmax", "2"], ["--primes", "3"]],
+                         ids=["rmax", "primes"])
+def test_cli_takes_no_rmax_or_primes(tmp_path, monkeypatch, capsys, args):
+    # M<r> and c2@<p> are named by --tasks alone, so even a value these
+    # removed options took is refused before any value is computed
+    graphs = tmp_path / "graphs.txt"
+    graphs.write_text(_graph_line("octa", octahedron()))
+    monkeypatch.setattr(census, "compute_batch",
+                        lambda *args: pytest.fail("computed a value"))
+    for verb in ("compute", "report"):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--input", str(graphs)] + args)
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: %s" % " ".join(args)
+                in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("args", [
     ["--tasks", "M,M"],
-    ["--tasks", "c2@3", "--primes", "3"],
-    ["--tasks", "M2", "--rmax", "2"],
-], ids=["tasks-twice", "tasks-and-primes", "tasks-and-rmax"])
+], ids=["tasks-twice"])
 def test_cli_task_named_twice_gets_one_column(tmp_path, args):
     graphs = tmp_path / "graphs.txt"
     graphs.write_text(_graph_line("octa", octahedron()))

@@ -29,6 +29,7 @@ from martinpoly.structure import (
 )
 
 from conftest import (
+    chain_k5_c7_octahedron,
     complement_c3_c4,
     five_r_cut,
     generated,
@@ -406,6 +407,9 @@ def test_decompose_factor_counts():
     assert len(decompose(octahedron())) == 1
     assert len(decompose(complete_graph(5))) == 1
     assert len(decompose(_matched_double(2))) == 2
+    blocks = (complete_graph(5), circulant(7, (1, 2)), octahedron())
+    assert decompose(chain_k5_c7_octahedron()) == tuple(sorted(
+        decompose(b)[0] for b in blocks))
 
 
 def test_decompose_is_order_independent(monkeypatch):
@@ -415,6 +419,7 @@ def test_decompose_is_order_independent(monkeypatch):
         glued_k5_octahedron(),
         _matched_double(2),
         circulant(8, (1, 2)),
+        chain_k5_c7_octahedron(),
     ]
     moved = []
     for g in graphs:
@@ -424,6 +429,8 @@ def test_decompose_is_order_independent(monkeypatch):
             assert decompose(g) == base
         monkeypatch.undo()
     assert any(map(any, moved))  # a split took a cut other than the first
+    # the chain's two cuts give a choice beside the doubled 6-cycle's
+    assert any(map(any, moved[-3:]))
 
 
 def test_totally_decomposable_lower_bound():
