@@ -129,7 +129,11 @@ class InvariantCache:
     (key, task) pairs are resolved last-wins, and they, torn lines,
     malformed lines and lines whose task or value does not parse are
     compacted away on load.  A value is only ever read from a complete,
-    well-formed line whose value has its task's form."""
+    well-formed line whose value has its task's form.
+
+    A cache with a path keeps one append handle on its file from then on,
+    and flushes it after every line, so a killed run keeps each line it
+    completed; close() releases the handle."""
 
     def __init__(self, path=None):
         self.path = path
@@ -150,6 +154,7 @@ class InvariantCache:
                     self.data[(key_hex, task)] = value
             if dirty:
                 self._compact()
+        self._fh = open(path, "a") if path else None
 
     def _compact(self):
         tmp = self.path + ".tmp"
@@ -165,9 +170,13 @@ class InvariantCache:
         if self.data.get((key_hex, task)) == value:
             return
         self.data[(key_hex, task)] = value
-        if self.path:
-            with open(self.path, "a") as fh:
-                fh.write("%s\t%s\t%s\n" % (key_hex, task, value))
+        if self._fh:
+            self._fh.write("%s\t%s\t%s\n" % (key_hex, task, value))
+            self._fh.flush()
+
+    def close(self):
+        if self._fh:
+            self._fh.close()
 
 
 def _compute_task(g, task):
@@ -361,22 +370,26 @@ def main(argv=None):
     batch.add_argument("--cache", default=None)
     batch.add_argument("--out", default=None)
 
-    p_compute = sub.add_parser("compute", parents=[batch],
-                               help="compute invariants for a graph file")
+    sub.add_parser("compute", parents=[batch],
+                   help="compute invariants for a graph file")
 
     p_verify = sub.add_parser("verify", help="run a built-in property suite")
     p_verify.add_argument("--suite", required=True, choices=sorted(_SUITES))
 
-    p_report = sub.add_parser("report", parents=[batch],
-                              help="group graphs by invariant values")
+    sub.add_parser("report", parents=[batch],
+                   help="group graphs by invariant values")
 
-    args = parser.parse_args(argv)
+    # an argument the verb does not take is that verb's usage error, as
+    # every other one is
+    args, unknown = parser.parse_known_args(argv)
+    error = sub.choices[args.verb].error
+    if unknown:
+        error("unrecognized arguments: %s" % " ".join(unknown))
 
     if args.verb == "verify":
         failures = _SUITES[args.suite]()
         return 1 if failures else 0
 
-    error = (p_compute if args.verb == "compute" else p_report).error
     # a task named twice runs once
     tasks = list(dict.fromkeys(t for t in args.tasks.split(",") if t))
     if not tasks:
@@ -392,13 +405,12 @@ def main(argv=None):
     # an unusable --cache or --out fails here, before any value is computed
     try:
         cache = InvariantCache(args.cache)
-        if args.cache:
-            open(args.cache, "a").close()
     except OSError as exc:
         error("--cache: %s" % exc)
     try:
         out = open(args.out, "w") if args.out else sys.stdout
     except OSError as exc:
+        cache.close()
         error("--out: %s" % exc)
     try:
         computed = compute_batch(records, tasks, cache)
@@ -410,6 +422,7 @@ def main(argv=None):
                 desc = ";".join("%s=%s" % kv for kv in sig)
                 out.write("%d\t%s\t%s\n" % (i, ",".join(names), desc))
     finally:
+        cache.close()
         if args.out:
             out.close()
     return 0

@@ -138,6 +138,9 @@ _CLASSES = {}
 # (loops, field width) -> the pivot's multiplicities to the next frontier
 # -> its transition classes as packed additions (see _resolve)
 _RESOLVED = {}
+# (loops, field width) -> a step's layout (base, feed) -> the pivot's fields
+# in a state -> their resolution, which those four fix
+_LAYOUTS = {}
 
 
 def _profile_classes(profile, loops):
@@ -205,7 +208,8 @@ def _eliminate(g, k=None):
     down, plus one class's packed addition.  Each step visits each state
     once: the states that agree on the pivot's fields give it one vector of
     multiplicities, whose resolution into additions (_resolve, kept in
-    _RESOLVED) a dict kept for the step finds from those fields.
+    _RESOLVED) is kept in _LAYOUTS under the step's layout, so later steps
+    and calls with that layout find it from those fields.
 
     With k, g is loop-free and 2k-regular with n >= 3, and the result is M:
     loop-free classes only, a child dropped once a pair holds more than k
@@ -258,6 +262,7 @@ def _eliminate(g, k=None):
     states = {0: value}
     field = (1 << width) - 1
     cache = _RESOLVED.setdefault((loops, width), {})
+    layouts = _LAYOUTS.setdefault((loops, width), {})
     front = []
     for i, v in enumerate(order[:last]):
         nbrs = adj[v]
@@ -283,7 +288,7 @@ def _eliminate(g, k=None):
         # the pivot's multiplicities to the next frontier are the input's
         # plus, for the vertices that stay, what a state holds at feed
         base = [nbrs.get(u, 0) for u in nfront]
-        resolutions = {}  # the pivot's fields -> its resolution
+        resolutions = layouts.setdefault((tuple(base), feed), {})
         children = {}
         for state, value in states.items():
             row = state & mask

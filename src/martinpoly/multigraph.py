@@ -230,12 +230,14 @@ def _symmetric_matrices(d, visit, loops=False):
     The matrix is settled row by row, each row's loop count first and then
     its entries right of the diagonal, every choice in increasing order; an
     entry takes at least what the later columns of its row cannot absorb.
+    Their summed room, later, goes down the row, each entry taking off the
+    next column's.
     D and L are the enumerator's working lists, set afresh on every path to
     a leaf: visit copies what it keeps."""
     m = len(d)
     D = [[0] * m for _ in range(m)]
     L = [0] * m
-    rem = list(d)
+    rem = list(d) + [0]  # a column m that takes nothing ends every row
 
     def row(i):
         if i == m:
@@ -243,18 +245,21 @@ def _symmetric_matrices(d, visit, loops=False):
             return
         for nl in range(rem[i] // 2 + 1 if loops else 1):
             L[i] = nl
-            entry(i, i + 1, rem[i] - 2 * nl)
+            entry(i, i + 1, rem[i] - 2 * nl, sum(rem[i + 2:]))
 
-    def entry(i, j, left):
+    def entry(i, j, left, later):
         if j == m:
             if left == 0:
                 row(i + 1)
             return
-        for t in range(max(0, left - sum(rem[j + 1:])), min(left, rem[j]) + 1):
+        room = rem[j]
+        low = left - later if left > later else 0
+        after = later - rem[j + 1]
+        for t in range(low, (room if room < left else left) + 1):
             D[i][j] = D[j][i] = t
-            rem[j] -= t
-            entry(i, j + 1, left - t)
-            rem[j] += t
+            rem[j] = room - t
+            entry(i, j + 1, left - t, after)
+        rem[j] = room
 
     row(0)
 

@@ -87,6 +87,28 @@ def test_cache_round_trip(tmp_path):
     assert reloaded.get("ab12", "perm") is None
 
 
+def test_cache_appends_each_line_through_one_flushed_handle(tmp_path):
+    # each put's line is in the file before the next put, with the handle
+    # still open, as a reader after a kill would find it; close() releases
+    # the handle, and may be called again
+    path = tmp_path / "cache.tsv"
+    cache = InvariantCache(str(path))
+    lines = []
+    for key, task, value in (("ab12", "M", "6"), ("ab12", "M2", "2016"),
+                             ("cd34", "poly", "0,36,15")):
+        cache.put(key, task, value)
+        lines.append("%s\t%s\t%s\n" % (key, task, value))
+        assert path.read_text() == "".join(lines)
+    cache.close()
+    cache.close()
+    with pytest.raises(ValueError):
+        cache.put("ef56", "M", "1")
+    reloaded = InvariantCache(str(path))
+    reloaded.close()
+    assert reloaded.data == {("ab12", "M"): "6", ("ab12", "M2"): "2016",
+                             ("cd34", "poly"): "0,36,15"}
+
+
 def test_cache_compacts_stale_lines(tmp_path):
     path = tmp_path / "cache.tsv"
     path.write_text("0a\tM\t5\n0a\tM\t6\nff\tM\t1\n")
@@ -337,9 +359,10 @@ def test_cli_compute_writes_tsv_and_reruns_identically(tmp_path):
     (["--cache", "same.tsv", "--out", "./same.tsv"],
      "--out names the --cache file"),
     (["--tasks", ""], "no task: --tasks names none"),
+    (["--rmax", "2"], "unrecognized arguments: --rmax 2"),
 ], ids=["input-missing", "input-malformed", "cache-directory",
         "cache-missing-directory", "out-missing-directory", "out-is-cache",
-        "tasks-empty"])
+        "tasks-empty", "unknown-argument"])
 def test_cli_rejects_bad_arguments_with_one_line(tmp_path, monkeypatch,
                                                  capsys, args, message):
     monkeypatch.chdir(tmp_path)
@@ -357,6 +380,27 @@ def test_cli_rejects_bad_arguments_with_one_line(tmp_path, monkeypatch,
         last = err.strip().splitlines()[-1]
         assert last.startswith("martinpoly %s: error: " % verb), err
         assert message in last, err
+
+
+def test_cli_closes_the_cache_when_the_batch_raises(tmp_path, monkeypatch):
+    graphs = tmp_path / "graphs.txt"
+    graphs.write_text(_graph_line("octa", octahedron()))
+    opened = []
+
+    class Cache(InvariantCache):
+        def __init__(self, path=None):
+            super().__init__(path)
+            opened.append(self)
+
+    def fail(*args):
+        raise RuntimeError("batch failed")
+    monkeypatch.setattr(census, "InvariantCache", Cache)
+    monkeypatch.setattr(census, "compute_batch", fail)
+    with pytest.raises(RuntimeError, match="batch failed"):
+        main(["compute", "--input", str(graphs),
+              "--cache", str(tmp_path / "cache.tsv")])
+    [cache] = opened
+    assert cache._fh.closed
 
 
 def test_cli_tasks_skip_empty_fields(tmp_path):

@@ -2,6 +2,7 @@
 order independence, agreement with the memoized recursion the frontier
 elimination replaced, divisibility, and symmetry-factor bridges."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -693,6 +694,7 @@ def test_slot_states_match_the_reference_kernel(monkeypatch):
     def check(g, order=None):
         k = g.degrees()[0] // 2
         monkeypatch.setattr(martin, "_RESOLVED", {})
+        monkeypatch.setattr(martin, "_LAYOUTS", {})
         met.clear()
         profiles = set()
         assert (martin._eliminate(g, k)
@@ -712,15 +714,17 @@ def test_slot_states_match_the_reference_kernel(monkeypatch):
 
 def test_the_kernel_fills_no_transition_class_cache(monkeypatch):
     # _classes is a plain enumerator: the kernel's own tables, the classes
-    # per sorted profile and their resolutions per vector, are the only
-    # caches of transition classes, and M and J each fill both
+    # per sorted profile, their resolutions per vector and those per step
+    # layout, are the only caches of transition classes, and M and J each
+    # fill all three
     assert not hasattr(_classes, "cache_info")
     g10 = cyclically_6_connected_10_vertex()
     for g, k in ((duplicate(g10, 3), 6), (g10, None)):
         monkeypatch.setattr(martin, "_CLASSES", {})
         monkeypatch.setattr(martin, "_RESOLVED", {})
+        monkeypatch.setattr(martin, "_LAYOUTS", {})
         martin._eliminate(g, k)
-        assert martin._CLASSES and martin._RESOLVED
+        assert martin._CLASSES and martin._RESOLVED and martin._LAYOUTS
 
 
 def test_resolution_matches_the_reference(monkeypatch):
@@ -754,6 +758,7 @@ def test_resolution_matches_the_reference(monkeypatch):
     monkeypatch.setattr(martin, "_resolve", spy)
     monkeypatch.setattr(martin, "_CLASSES", {})
     monkeypatch.setattr(martin, "_RESOLVED", {})
+    monkeypatch.setattr(martin, "_LAYOUTS", {})
     for g in invariants:
         martin._eliminate(g, g.degrees()[0] // 2)
     for g in polynomials:
@@ -772,6 +777,55 @@ def test_resolution_matches_the_reference(monkeypatch):
     assert set(enumerated.values()) == {1}
     assert all(list(d) == sorted(d) for d, _ in enumerated)
     assert len(met) > 2 * len(enumerated)
+
+
+# sha256 of one "M TAB J's coefficients TAB M^[2]" line per
+# batch_scale_graphs() graph, in order
+_BATCH_VALUES_SHA256 = (
+    "14fec28185ec36af1571c4e79f836a060d5a37a80707c7f8b0edf301c5060fef")
+
+
+def test_layout_table_keeps_resolutions_across_calls(monkeypatch):
+    # a row's resolution is kept under its step's layout, (base, feed), and
+    # found there by later steps and calls: the batch graphs give their
+    # pinned values on cold tables, and again in reverse order on the tables
+    # the first pass filled, and every row kept resolves as _resolve does
+    # for the multiplicities it stands for
+    plain = batch_scale_graphs()
+    monkeypatch.setattr(martin, "_CLASSES", {})
+    monkeypatch.setattr(martin, "_RESOLVED", {})
+    monkeypatch.setattr(martin, "_LAYOUTS", {})
+
+    def values(g):
+        k = g.degrees()[0] // 2
+        return (martin._eliminate(g, k), martin._eliminate(g),
+                martin._eliminate(duplicate(g, 2), 2 * k))
+    forward = [values(g) for g in plain]
+    backward = [values(g) for g in reversed(plain)][::-1]
+    assert forward == backward
+    lines = "".join("%d\t%s\t%d\n" % (m, ",".join(map(str, j)), m2)
+                    for m, j, m2 in forward)
+    assert hashlib.sha256(lines.encode()).hexdigest() == _BATCH_VALUES_SHA256
+    # C7(1,2)..C18(1,2) come first, each before its double, and the
+    # 12-vertex graph, whose sequence is pinned above, is next to last
+    assert [m for m, _, _ in forward[:-2:2]] == [
+        closed_form_circulant(g.n) for g in plain[:-2:2]]
+    assert [m for m, _, _ in forward[1:-2:2]] == [
+        m2 for _, _, m2 in forward[:-2:2]]
+    assert (forward[-2][0], forward[-2][2]) == (4280, 1924469536849920)
+
+    rows = 0
+    for (loops, width), layouts in martin._LAYOUTS.items():
+        field = (1 << width) - 1
+        for (base, feed), resolutions in layouts.items():
+            for row, resolved in resolutions.items():
+                mult = list(base)
+                for p, s in enumerate(feed):
+                    mult[p] += row >> s & field
+                assert resolved == martin._resolve(tuple(mult), loops,
+                                                   width), (base, feed, row)
+                rows += 1
+    assert rows > len(martin._LAYOUTS) > 1
 
 
 def test_c2_of_g10_by_the_martin_route():

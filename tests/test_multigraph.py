@@ -11,6 +11,7 @@ from martinpoly.multigraph import (
     Multigraph,
     RotationSystem,
     _classes,
+    _symmetric_matrices,
     _encode,
     _refine,
     apply_transition,
@@ -230,6 +231,59 @@ def _compositions(total):
         for cuts in itertools.combinations(range(1, total), parts - 1):
             ends = (0,) + cuts + (total,)
             yield tuple(b - a for a, b in zip(ends, ends[1:]))
+
+
+def reference_symmetric_matrices(d, visit, loops=False):
+    """multigraph._symmetric_matrices as it was while each entry summed the
+    rest of its row afresh: the reference for its visit order."""
+    m = len(d)
+    D = [[0] * m for _ in range(m)]
+    L = [0] * m
+    rem = list(d)
+
+    def row(i):
+        if i == m:
+            visit(D, L)
+            return
+        for nl in range(rem[i] // 2 + 1 if loops else 1):
+            L[i] = nl
+            entry(i, i + 1, rem[i] - 2 * nl)
+
+    def entry(i, j, left):
+        if j == m:
+            if left == 0:
+                row(i + 1)
+            return
+        for t in range(max(0, left - sum(rem[j + 1:])), min(left, rem[j]) + 1):
+            D[i][j] = D[j][i] = t
+            rem[j] -= t
+            entry(i, j + 1, left - t)
+            rem[j] += t
+
+    row(0)
+
+
+def test_symmetric_matrices_match_the_reference():
+    # the same matrices and loop counts in the same order, for every
+    # composition of a degree up to 12 into at most 5 parts, odd degrees
+    # (which have no matrix without loops) included
+    def visits(enumerate_, d, loops):
+        out = []
+        enumerate_(d, lambda D, L: out.append(
+            (tuple(map(tuple, D)), tuple(L))), loops)
+        return out
+
+    profiles = [d for total in range(1, 13) for d in _compositions(total)
+                if len(d) <= 5]
+    assert len(profiles) == 1585
+    seen = 0
+    for d in profiles:
+        for loops in (False, True):
+            got = visits(_symmetric_matrices, d, loops)
+            assert got == visits(reference_symmetric_matrices, d, loops), \
+                (d, loops)
+            seen += len(got)
+    assert seen == 33076
 
 
 def test_transition_classes_are_pinned():
