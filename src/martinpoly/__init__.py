@@ -3,14 +3,12 @@ graph permanents, and c2 residues, with brute-force oracles for all of them."""
 
 from .multigraph import (
     Multigraph,
-    RotationSystem,
     from_edges,
     duplicate,
     delete_vertex,
     induced_subgraph,
     canonical_form,
     is_isomorphic,
-    planar_dual,
 )
 from .martin import (
     martin_polynomial,
@@ -32,14 +30,12 @@ from .residues import (
 
 __all__ = [
     "Multigraph",
-    "RotationSystem",
     "from_edges",
     "duplicate",
     "delete_vertex",
     "induced_subgraph",
     "canonical_form",
     "is_isomorphic",
-    "planar_dual",
     "martin_polynomial",
     "circuit_partition_polynomial",
     "martin_invariant",

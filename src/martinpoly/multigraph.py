@@ -206,7 +206,7 @@ def induced_subgraph(g, vertices):
     """The subgraph induced on the given vertices, with its edges and loops,
     relabelled 0..k-1 in increasing order of old label.  Returns the graph
     and the old-label -> new-label dict."""
-    lab = {v: i for i, v in enumerate(sorted(vertices))}
+    lab = {v: i for i, v in enumerate(sorted(set(vertices)))}
     if any(not 0 <= v < g.n for v in lab):
         raise ValueError("vertex out of range")
     mult = {(lab[a], lab[b]): m for (a, b), m in g.mult.items()
@@ -547,119 +547,3 @@ def canonical_form(g):
 
 def is_isomorphic(g1, g2):
     return canonical_form(g1) == canonical_form(g2)
-
-
-# -- rotation systems and planar duality --------------------------------
-#
-# A half-edge is identified by (u, v, i, side) for the i-th copy of the edge
-# {u,v} with u <= v; side 0 sits at u and side 1 at v.  Both halves of a
-# self-loop sit at its vertex.
-
-
-def half_edges_at(g, v):
-    out = []
-    for (a, b), m in sorted(g.mult.items()):
-        for i in range(m):
-            if a == v:
-                out.append((a, b, i, 0))
-            if b == v:
-                out.append((a, b, i, 1))
-    for i in range(g.loops.get(v, 0)):
-        out.append((v, v, i, 0))
-        out.append((v, v, i, 1))
-    return out
-
-
-def _twin(h):
-    u, v, i, side = h
-    return (u, v, i, 1 - side)
-
-
-class RotationSystem:
-    """Cyclic order of half-edges around every vertex (a combinatorial embedding)."""
-
-    __slots__ = ("rot",)
-
-    def __init__(self, rot):
-        self.rot = {v: tuple(hs) for v, hs in rot.items()}
-
-    def validate(self, g):
-        want = {}
-        for v in range(g.n):
-            want[v] = sorted(half_edges_at(g, v))
-        got = {v: sorted(self.rot.get(v, ())) for v in range(g.n)}
-        if want != got:
-            raise ValueError("rotation system does not cover the half-edges exactly once")
-
-    def successor(self, h):
-        u, v, i, side = h
-        at = u if side == 0 else v
-        cyc = self.rot[at]
-        k = cyc.index(h)
-        return cyc[(k + 1) % len(cyc)]
-
-
-def trace_faces(g, rot):
-    """Orbits of h -> successor(twin(h)); each orbit is one face boundary."""
-    rot.validate(g)
-    all_halves = [h for v in range(g.n) for h in half_edges_at(g, v)]
-    unseen = set(all_halves)
-    faces = []
-    for h0 in all_halves:
-        if h0 not in unseen:
-            continue
-        face = []
-        h = h0
-        while True:
-            face.append(h)
-            unseen.discard(h)
-            h = rot.successor(_twin(h))
-            if h == h0:
-                break
-        faces.append(face)
-    return faces
-
-
-def planar_dual(g, rot):
-    """Dual multigraph of a genus-0 embedding, with the induced dual rotation.
-
-    Returns (dual graph, dual rotation system).  Raises if the embedding is
-    not planar (Euler count) or the graph is disconnected.
-    """
-    if g.n == 0 or not is_connected(g):
-        raise ValueError("planar dual needs a connected, nonempty graph")
-    faces = trace_faces(g, rot)
-    V, E, F = g.n, g.edge_count(), len(faces)
-    if V - E + F != 2:
-        raise ValueError("embedding has genus %d, not planar" % ((2 - V + E - F) // 2,))
-    face_of = {}
-    for fi, face in enumerate(faces):
-        for h in face:
-            face_of[h] = fi
-    # one dual edge per primal edge instance; a loop when both sides share a face
-    pair_count = {}
-    dual_side = {}  # primal half-edge -> its dual half-edge id
-    mult = {}
-    loops = {}
-    for (u, v, i) in g.edge_instances():
-        h0 = (u, v, i, 0)
-        h1 = (u, v, i, 1)
-        f0, f1 = face_of[h0], face_of[h1]
-        if f0 == f1:
-            idx = loops.get(f0, 0)
-            loops[f0] = idx + 1
-            dual_side[h0] = (f0, f0, idx, 0)
-            dual_side[h1] = (f0, f0, idx, 1)
-        else:
-            a, b = (f0, f1) if f0 < f1 else (f1, f0)
-            idx = pair_count.get((a, b), 0)
-            pair_count[(a, b)] = idx + 1
-            mult[(a, b)] = idx + 1
-            dual_side[h0] = (a, b, idx, 0 if f0 == a else 1)
-            dual_side[h1] = (a, b, idx, 0 if f1 == a else 1)
-    dual = Multigraph(F, mult, loops)
-    # walking a face lists the dual half-edges around the dual vertex in order
-    drot = {}
-    for fi, face in enumerate(faces):
-        drot[fi] = tuple(dual_side[h] for h in face)
-    return dual, RotationSystem(drot)

@@ -50,19 +50,3 @@ def shift(p, a):
         out = [a * x + y for x, y in zip(out + [0], [0] + out)]
         out[0] += c
     return trim(out)
-
-
-def to_string(p, var="x"):
-    if not p:
-        return "0"
-    terms = []
-    for i in range(len(p) - 1, -1, -1):
-        c = p[i]
-        if not c:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            head = "" if c == 1 else ("-" if c == -1 else str(c) + "*")
-            terms.append("%s%s" % (head, var if i == 1 else "%s^%d" % (var, i)))
-    return " + ".join(terms).replace("+ -", "- ")

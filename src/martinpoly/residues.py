@@ -147,12 +147,13 @@ def permanent_square_residue(g, v0=None, vinf=None, orientation=None):
         return ResidueReport(modulus, 0,
                              {"method": "permanent", "trivial": "composite modulus"})
     if vinf is None:
-        loopfree = [v for v in range(g.n) if not g.loops.get(v, 0)]
+        loopfree = [v for v in range(g.n)
+                    if not g.loops.get(v, 0) and v != v0]
         if not loopfree:
-            # every vertex is looped: whatever finite part we pick has a zero
-            # column, so the permanent vanishes
+            # every vertex but v0 is looped: whatever finite part we pick has
+            # a zero column, so the permanent vanishes
             return ResidueReport(modulus, 0,
-                                 {"method": "permanent", "trivial": "all vertices looped"})
+                                 {"method": "permanent", "trivial": "no loop-free vinf"})
         vinf = loopfree[-1]
     if v0 is None:
         v0 = next(v for v in range(g.n) if v != vinf)

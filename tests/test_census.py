@@ -79,9 +79,11 @@ def test_cache_round_trip(tmp_path):
     cache.put("ab12", "M", "6")
     cache.put("ab12", "M", "6")  # unchanged: no duplicate line appended
     cache.put("cd34", "poly", "0,36,15")
-    lines = open(path).read().splitlines()
+    cache.close()
+    lines = (tmp_path / "cache.tsv").read_text().splitlines()
     assert len(lines) == 2
     reloaded = InvariantCache(path)
+    reloaded.close()
     assert reloaded.get("ab12", "M") == "6"
     assert reloaded.get("cd34", "poly") == "0,36,15"
     assert reloaded.get("ab12", "perm") is None
@@ -113,6 +115,7 @@ def test_cache_compacts_stale_lines(tmp_path):
     path = tmp_path / "cache.tsv"
     path.write_text("0a\tM\t5\n0a\tM\t6\nff\tM\t1\n")
     cache = InvariantCache(str(path))
+    cache.close()
     assert cache.get("0a", "M") == "6"  # last write wins
     lines = path.read_text().splitlines()
     assert sorted(lines) == ["0a\tM\t6", "ff\tM\t1"]
@@ -126,7 +129,9 @@ def test_cache_drops_torn_final_line(tmp_path):
     graphs.write_text(_graph_line("octa", octahedron()))
     key = canonical_form(octahedron()).hex()
     path.write_text("%s\tM\t14" % key)
-    assert InvariantCache(str(path)).get(key, "M") is None
+    cache = InvariantCache(str(path))
+    cache.close()
+    assert cache.get(key, "M") is None
     assert path.read_text() == ""
     path.write_text("%s\tM\t14\n%s" % (key, key[:6]))
     main(["compute", "--input", str(graphs), "--tasks", "M,M2",
@@ -134,6 +139,7 @@ def test_cache_drops_torn_final_line(tmp_path):
     main(["compute", "--input", str(graphs), "--tasks", "M,M2",
           "--cache", str(path), "--out", str(tmp_path / "again.tsv")])
     reloaded = InvariantCache(str(path))
+    reloaded.close()
     assert reloaded.get(key, "M") == "14"
     assert reloaded.get(key, "M2") == str(martin_invariant(
         duplicate(octahedron(), 2)))
@@ -154,6 +160,7 @@ def test_cache_skips_garbage_lines(tmp_path):
                     "\n"
                     "0c\tpoly\t0,36,15\n")
     cache = InvariantCache(str(path))
+    cache.close()
     assert cache.data == {("0a", "M"): "6", ("0c", "poly"): "0,36,15"}
     assert sorted(path.read_text().splitlines()) == \
         ["0a\tM\t6", "0c\tpoly\t0,36,15"]
@@ -193,6 +200,7 @@ def test_cache_drops_values_that_do_not_parse_for_their_task(tmp_path):
     path = tmp_path / "cache.tsv"
     path.write_text("".join("%s\t%s\n" % (key, line) for line in bad + good))
     cache = InvariantCache(str(path))
+    cache.close()
     assert sorted(task for (_, task) in cache.data) == \
         ["M", "M2", "c2@2", "poly"]
     assert sorted(path.read_text().splitlines()) == \

@@ -1,4 +1,4 @@
-"""Graph value semantics, vertex transitions, canonical labeling, planar duals."""
+"""Graph value semantics, vertex transitions, canonical labeling."""
 
 import hashlib
 import itertools
@@ -9,7 +9,6 @@ import pytest
 
 from martinpoly.multigraph import (
     Multigraph,
-    RotationSystem,
     _classes,
     _symmetric_matrices,
     _encode,
@@ -19,13 +18,10 @@ from martinpoly.multigraph import (
     delete_vertex,
     duplicate,
     from_edges,
-    half_edges_at,
     induced_subgraph,
     is_isomorphic,
-    planar_dual,
     regular_degree,
     relabel,
-    trace_faces,
     transition_classes,
 )
 from martinpoly.families import (
@@ -607,6 +603,10 @@ def test_delete_vertex_mapping():
     assert h.edge_count() == 3  # the triple edge survives, loop at 2 is gone
     assert not h.loops
     assert h.degrees() == (3, 3)
+    # a vertex named twice is taken once
+    assert induced_subgraph(g, [0, 0, 1]) == (h, mapping)
+    looped = from_edges(3, [(0, 0), (1, 2), (1, 2)])
+    assert induced_subgraph(looped, [0, 0, 1]) == induced_subgraph(looped, [0, 1])
 
 
 # ------------------------------------------------------------------ transitions
@@ -772,81 +772,3 @@ def test_apply_transition_preserves_surviving_degrees():
             h = apply_transition(g, v, D)
             assert h.n == g.n - 1
             assert h.degrees() == expect
-
-
-def test_half_edges_pair_off():
-    g = k3_113()
-    hs = half_edges_at(g, 0)
-    assert len(hs) == g.degrees()[0] == 4
-    for u, w, i, side in hs:
-        assert (u, w, i) in g.edge_instances()
-        assert (u, w)[side] == 0
-
-
-# ------------------------------------------------------------------ planar duals
-
-
-def _rotation(g, orders):
-    """Build a rotation system from a neighbor order at each vertex.
-
-    Only valid for graphs without parallel edges or loops.
-    """
-    rot = {}
-    for v, nbr_order in orders.items():
-        by_other = {}
-        for h in half_edges_at(g, v):
-            u, w, i, side = h
-            other = w if side == 0 else u
-            by_other.setdefault(other, []).append(h)
-        rot[v] = [by_other[w].pop(0) for w in nbr_order]
-    return RotationSystem(rot)
-
-
-K4_ORDERS = {0: (1, 2, 3), 1: (0, 3, 2), 2: (0, 1, 3), 3: (0, 2, 1)}
-W4_ORDERS = {
-    0: (1, 2, 3, 4),
-    1: (0, 4, 2),
-    2: (0, 1, 3),
-    3: (0, 2, 4),
-    4: (0, 3, 1),
-}
-
-
-def test_trace_faces_euler_count():
-    k4 = complete_graph(4)
-    faces = trace_faces(k4, _rotation(k4, K4_ORDERS))
-    assert len(faces) == 4  # V - E + F = 4 - 6 + 4 = 2
-    assert sum(len(f) for f in faces) == 2 * k4.edge_count()
-
-    w4 = wheel(4)
-    faces = trace_faces(w4, _rotation(w4, W4_ORDERS))
-    assert len(faces) == 5  # 5 - 8 + 5 = 2
-
-
-def test_k4_is_self_dual():
-    k4 = complete_graph(4)
-    rot = _rotation(k4, K4_ORDERS)
-    d, drot = planar_dual(k4, rot)
-    assert is_isomorphic(d, k4)
-    dd, _ = planar_dual(d, drot)
-    assert is_isomorphic(dd, k4)
-
-
-def test_wheel_dual_roundtrip():
-    w4 = wheel(4)
-    rot = _rotation(w4, W4_ORDERS)
-    d, drot = planar_dual(w4, rot)
-    assert d.n == 5
-    assert d.edge_count() == w4.edge_count() == 8
-    assert sorted(d.degrees()) == [3, 3, 3, 3, 4]
-    dd, _ = planar_dual(d, drot)
-    assert is_isomorphic(dd, w4)
-
-
-def test_planar_dual_rejects_non_planar_rotation():
-    k4 = complete_graph(4)
-    bad = {0: (1, 2, 3), 1: (2, 3, 0), 2: (3, 1, 0), 3: (1, 2, 0)}
-    rot = _rotation(k4, bad)
-    assert len(trace_faces(k4, rot)) != 4
-    with pytest.raises(ValueError):
-        planar_dual(k4, rot)

@@ -10,7 +10,6 @@ from martinpoly.polynomial import (
     mul,
     scale,
     shift,
-    to_string,
     trim,
 )
 
@@ -79,9 +78,3 @@ def test_ring_identities_random():
         )
         x = rng.randrange(-5, 6)
         assert evaluate(mul(p, q), x) == evaluate(p, x) * evaluate(q, x)
-
-
-def test_to_string_readable():
-    assert to_string(()) == "0"
-    s = to_string((0, 36, 15))
-    assert "x^2" in s and "36" in s

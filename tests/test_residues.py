@@ -127,6 +127,19 @@ def test_permanent_zero_cases():
     assert "trivial" in rep.provenance
 
 
+def test_permanent_default_vinf_avoids_v0():
+    octa = octahedron()
+    base = permanent_square_residue(octa).residue
+    for v0 in range(octa.n):
+        rep = permanent_square_residue(octa, v0=v0)
+        assert rep.provenance["v0"] == v0 != rep.provenance["vinf"]
+        assert rep.residue == base
+    # v0 is the one loop-free vertex: every finite part keeps a loop
+    g = from_edges(3, [(0, 1), (0, 1), (1, 1), (2, 2), (0, 2), (0, 2)])
+    rep = permanent_square_residue(g, v0=0)
+    assert rep.residue == 0 and "trivial" in rep.provenance
+
+
 def test_permanent_validation():
     octa = octahedron()
     with pytest.raises(ValueError):
