@@ -323,6 +323,11 @@ def _suite_residues():
             M = martin.martin_invariant(g)
             ok = ok and (-1) ** (n - 1) * rep.residue % 3 == M % 3
     _check(ok, "squared permanent matches the Martin residue", failures)
+    c8 = families.circulant(8, (1, 2))
+    [rep] = residues.extended_permanent(c8, [2])
+    M = martin.martin_invariant(duplicate(c8, 2))
+    _check(-rep.residue % 5 == M % 5,
+           "extended permanent of C8(1,2) at r = 2 matches M mod 5", failures)
     return failures
 
 

@@ -7,8 +7,9 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from math import comb, factorial
+from operator import sub
 
-from .martin import martin_invariant
+from .martin import _order, martin_invariant
 from .multigraph import (Multigraph, canonical_form, duplicate,
                          induced_subgraph, is_connected, regular_degree,
                          regular_half_degree)
@@ -49,7 +50,13 @@ def _ryser_permanent(rows):
     plain Ryser, 2^N terms.  The c vectors are visited in reflected
     mixed-radix Gray order, so each step moves one c_t by one and updates
     the column sums by one row.  oracle.ryser_permanent is the ungrouped
-    reference."""
+    reference.
+
+    Nothing in the library calls it: graph_permanent is a frontier DP, and
+    this is the reference its differential tests hold it to.  It stays here
+    only because benchmark/layers.py hooks it for the residues.permanent_s
+    and residues.ryser_terms metrics; it moves to the tests once those hook
+    graph_permanent."""
     n = len(rows)
     if n == 0:
         return 1
@@ -93,14 +100,23 @@ def _ryser_permanent(rows):
 
 def graph_permanent(g, v0, vinf, orientation=None):
     """Exact permanent of the k-fold stacked reduced incidence matrix of
-    g minus vinf (rows: vertices other than v0 and vinf; columns: remaining
-    edge instances, oriented).  Any self-loop away from vinf produces a zero
-    column, hence 0; choices change only the sign of the underlying
-    permanent before squaring.
+    g minus vinf (rows: vertices other than v0 and vinf, k copies each;
+    columns: remaining edge instances, oriented, 1 in the tail's rows and -1
+    in the head's).  Any self-loop away from vinf produces a zero column,
+    hence 0; choices change only the sign of the underlying permanent before
+    squaring.
 
-    The stacked matrix holds k copies of each of its n-2 base rows, so
-    _ryser_permanent takes (k+1)^(n-2) terms rather than 2^(k(n-2)): 5^6
-    against 2^24 for the doubled C8(1,2)."""
+    A term of the permanent puts each column in a copy of one of its end
+    rows, k columns to each row, and the k! ways to spread a row's columns
+    over its copies give one product.  So the permanent is (k!)^rows times
+    a signed count of the ways to send each edge instance to an end row, k
+    to each row: an instance sent to its head counts -1, and one at v0 goes
+    to its other end.  The count is a frontier DP along martin._order(g): a
+    state holds what each frontier row still needs, and a row leaves once
+    its bundles to later rows are placed.  j of a bundle's m instances go to
+    its earlier end v in C(m, j) ways, each of sign (-1)^(t + j) when t of
+    them are tailed at v: an instance goes to its head when it is tailed at
+    v and goes on, or tailed on and stays."""
     k = regular_half_degree(g)
     if v0 == vinf or not (0 <= v0 < g.n and 0 <= vinf < g.n):
         raise ValueError("v0 and vinf must be distinct vertices")
@@ -114,27 +130,73 @@ def graph_permanent(g, v0, vinf, orientation=None):
         orientation = [0] * len(inst)
     if len(orientation) != len(inst):
         raise ValueError("orientation must flag every remaining edge instance")
-    rows_idx = {w: i for i, w in enumerate(v for v in range(g.n)
-                                           if v not in (v0, vinf))}
-    nrows = len(rows_idx)
+    need = {w: k for w in range(g.n) if w not in (v0, vinf)}
+    nrows = len(need)
     ncols = len(inst)
     if ncols != k * nrows:
         raise ValueError("edge/vertex count mismatch: %d columns for %d rows"
                          % (ncols, nrows))
     if any((u == v) for (u, v) in inst):
         return 0  # self-loop column is identically zero
-    base = [[0] * ncols for _ in range(nrows)]
-    for c, ((u, v), flip) in enumerate(zip(inst, orientation)):
-        a, b = (v, u) if flip else (u, v)
-        if a in rows_idx:
-            base[rows_idx[a]][c] = 1
-        if b in rows_idx:
-            base[rows_idx[b]][c] = -1
-    stacked = [tuple(r) for r in base] * k
-    value = _ryser_permanent(stacked)
-    if value % factorial(k) ** nrows:
-        raise AssertionError("stacked permanent is not divisible by k!^rows")
-    return value
+    sign = 1
+    bundles = {}  # (u, v) between rows -> [instances, those tailed at u]
+    for (u, v), flip in zip(inst, orientation):
+        tail = v if flip else u
+        if v0 in (u, v):
+            w = u + v - v0
+            need[w] -= 1
+            if w != tail:
+                sign = -sign
+        else:
+            bundle = bundles.setdefault((u, v), [0, 0])
+            bundle[0] += 1
+            bundle[1] += tail == u
+    if min(need.values()) < 0:
+        return 0  # a row holds more than k instances at v0
+    order = [v for v in _order(g) if v in need]
+    rank = {v: i for i, v in enumerate(order)}
+    later = {v: [] for v in order}  # row -> (later row, m, tailed at row)
+    for (u, v), (m, t) in bundles.items():
+        if rank[u] < rank[v]:
+            later[u].append((v, m, t))
+        else:
+            later[v].append((u, m, m - t))
+    states = {(): 1}
+    front = []
+    for v in order:
+        nbrs = later[v]
+        new = [u for u, _, _ in nbrs if u not in front]
+        nfront = [u for u in front if u != v] + new
+        pos = [nfront.index(u) for u, _, _ in nbrs]
+        # splits[s]: the ways v's bundles send s instances to v, each as what
+        # they send on to each row of nfront, with its weight
+        splits = [[] for _ in range(need[v] + 1)]
+        parity = sum(t for _, _, t in nbrs)
+        for js in itertools.product(*[range(max(m - need[u], 0), m + 1)
+                                      for u, m, _ in nbrs]):
+            s = sum(js)
+            if s > need[v]:
+                continue
+            sent = [0] * len(nfront)
+            weight = -1 if (parity + s) % 2 else 1
+            for p, (_, m, _), j in zip(pos, nbrs, js):
+                sent[p] = m - j
+                weight *= comb(m, j)
+            splits[s].append((tuple(sent), weight))
+        at = front.index(v) if v in front else None
+        fresh = tuple(need[u] for u in new)
+        children = {}
+        for state, value in states.items():
+            if at is None:
+                s, kept = need[v], state + fresh
+            else:
+                s, kept = state[at], state[:at] + state[at + 1:] + fresh
+            for sent, weight in splits[s]:
+                child = tuple(map(sub, kept, sent))
+                if min(child, default=0) >= 0:
+                    children[child] = children.get(child, 0) + weight * value
+        states, front = children, nfront
+    return sign * factorial(k) ** nrows * states.get((), 0)
 
 
 def permanent_square_residue(g, v0=None, vinf=None, orientation=None):
@@ -168,6 +230,8 @@ def extended_permanent(g, r_list):
     k = regular_half_degree(g)
     out = []
     for r in r_list:
+        if r < 1:
+            raise ValueError("r must be positive, got %d" % r)
         modulus = k * r + 1
         if not is_prime(modulus):
             raise ValueError("k*r + 1 = %d is composite for r = %d" % (modulus, r))

@@ -4,9 +4,9 @@ under a limit.
 
     PYTHONPATH=src python tests/memory_guard.py CASE
 
-CASE is M8, M10 or c2@13.  VmHWM is the peak resident set of the whole
-process, so each case needs a fresh one.  The exit status is 0 when the value
-matches its pin and VmHWM is within the limit, else 1, and 2 for an
+CASE is M8, M10, c2@13 or perm@13.  VmHWM is the peak resident set of the
+whole process, so each case needs a fresh one.  The exit status is 0 when the
+value matches its pin and VmHWM is within the limit, else 1, and 2 for an
 unknown case."""
 
 import ast
@@ -15,7 +15,7 @@ import sys
 
 from martinpoly.martin import martin_invariant
 from martinpoly.multigraph import duplicate, from_edges
-from martinpoly.residues import c2_from_martin
+from martinpoly.residues import c2_from_martin, extended_permanent
 
 
 def g10():
@@ -57,6 +57,12 @@ CASES = {
     # Python 3.11; the limit is 15% above
     "c2@13": ("c2 of g10 at p = 13", lambda g: c2_from_martin(g, 13).residue,
               12, 135),
+    # perm(g10^[6])^2 mod 13, the frontier DP at k = 12 on 8 rows; it is
+    # -M(g10^[6]) mod 13 (tests/test_residues.py checks both).  VmHWM read
+    # 16.0-16.2 MB under Python 3.11, about what the imports take; the limit
+    # is 15% above
+    "perm@13": ("perm(g10^[6])^2 mod 13",
+                lambda g: extended_permanent(g, [6])[0].residue, 1, 19),
 }
 
 

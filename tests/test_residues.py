@@ -24,6 +24,7 @@ from martinpoly.multigraph import (
     delete_vertex,
     duplicate,
     from_edges,
+    regular_half_degree,
     relabel,
 )
 from martinpoly.oracle import (
@@ -48,8 +49,11 @@ from martinpoly.residues import (
     point_count,
 )
 
+from memory_guard import CASES
+
 from conftest import (
     complement_c3_c4,
+    cyclically_6_connected_10_vertex,
     dunce_cap,
     generated,
     k3_113,
@@ -164,13 +168,38 @@ def test_extended_permanent_matches_martin_sequence():
         extended_permanent(k5, [4])  # 2*4 + 1 = 9 is composite
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_extended_permanent_rejects_a_power_below_one(r):
+    # rejected before the modulus k*r + 1 (1, or -1) is tested for primality
+    with pytest.raises(ValueError, match="r must be positive, got %d" % r):
+        extended_permanent(complete_graph(5), [1, r])
+
+
 def test_extended_permanent_c8_matches_martin_sequence():
-    # 5^6 grouped Ryser terms here, against 2^24 ungrouped ones
+    # 6 rows at k = 4: a 24 x 24 stacked matrix, 2^24 terms of plain Ryser
     g = circulant(8, (1, 2))
     [rep] = extended_permanent(g, [2])
     assert rep.modulus == 5
     m = martin_invariant(duplicate(g, 2))
     assert (m - (-1) ** (8 - 1) * rep.residue) % 5 == 0
+
+
+def test_extended_permanent_matches_martin_sequence_at_scale():
+    # M(G^[r]) = (-1)^(n-1) perm(G^[r])^2 mod 2r + 1 on g10 at r = 2, 3, 5
+    # and 6, and on C_n(1,2) for n = 10..20 at r = 2, 3 and 5
+    cases = [(cyclically_6_connected_10_vertex(), [2, 3, 5, 6])]
+    cases += [(circulant(n, (1, 2)), [2, 3, 5]) for n in range(10, 21)]
+    for g, rs in cases:
+        for r, rep in zip(rs, extended_permanent(g, rs)):
+            assert rep.modulus == 2 * r + 1
+            m = martin_invariant(duplicate(g, r))
+            assert (m - (-1) ** (g.n - 1) * rep.residue) % rep.modulus == 0, \
+                (g.n, r)
+    # the memory guard pins perm(g10^[6])^2 mod 13, which is -M(g10^[6])
+    g10 = cyclically_6_connected_10_vertex()
+    [rep] = extended_permanent(g10, [6])
+    assert CASES["perm@13"][2] == rep.residue == \
+        -martin_invariant(duplicate(g10, 6)) % 13
 
 
 def test_grouped_ryser_matches_oracle():
@@ -188,6 +217,73 @@ def test_grouped_ryser_matches_oracle():
     # a stacked incidence matrix, as graph_permanent builds it
     rows = [(1, -1, 0, 1), (0, 1, 1, -1)] * 2
     assert _ryser_permanent(rows) == ryser_permanent(rows) != 0
+
+
+def _stacked_matrix(g, v0, vinf, orientation):
+    """The k-fold stacked reduced incidence matrix whose permanent
+    graph_permanent counts, built entry by entry: a row per vertex other
+    than v0 and vinf, a column per edge instance away from vinf, 1 at its
+    tail and -1 at its head (swapped where its flag is set), and the rows
+    stacked k times."""
+    inst = [(u, v) for (u, v, _) in g.edge_instances() if vinf not in (u, v)]
+    rows = [w for w in range(g.n) if w not in (v0, vinf)]
+    base = []
+    for w in rows:
+        row = []
+        for (u, v), flip in zip(inst, orientation):
+            tail, head = (v, u) if flip else (u, v)
+            row.append((w == tail) - (w == head))
+        base.append(tuple(row))
+    return base * regular_half_degree(g)
+
+
+def _random_choices(g, rng):
+    vinf = rng.choice([v for v in range(g.n) if not g.loops.get(v)])
+    v0 = rng.choice([v for v in range(g.n) if v != vinf])
+    n_cols = sum(1 for u, v, _ in g.edge_instances() if vinf not in (u, v))
+    return v0, vinf, [rng.randrange(2) for _ in range(n_cols)]
+
+
+def test_frontier_permanent_matches_ryser_on_small_classes():
+    # every 4-regular class on 3..6 vertices, with seeded random choices
+    # of v0, vinf and orientation; the stacked matrices are at most 8 x 8,
+    # so the ungrouped oracle takes them all
+    rng = random.Random(28)
+    values = []
+    for n in range(3, 7):
+        for g in generated(n):
+            if all(g.loops.get(v) for v in range(g.n)):
+                continue  # no loop-free vertex for infinity
+            for _ in range(3):
+                v0, vinf, orientation = _random_choices(g, rng)
+                rows = _stacked_matrix(g, v0, vinf, orientation)
+                value = graph_permanent(g, v0, vinf, orientation)
+                assert value == _ryser_permanent(rows) == \
+                    ryser_permanent(rows), (g, v0, vinf, orientation)
+                values.append(value)
+    assert len({v for v in values if v}) > 2
+
+
+def test_frontier_permanent_matches_ryser_at_scale():
+    # up to 8 rows at k = 4 (g10^[2]) and 7 rows at k = 6 (C9(1,2)^[3]),
+    # against grouped Ryser, and against the ungrouped oracle up to 16 x 16
+    rng = random.Random(29)
+    k5 = complete_graph(5)
+    graphs = [octahedron(), k5, duplicate(k5, 2), duplicate(k5, 3),
+              duplicate(circulant(7, (1, 2)), 2),
+              duplicate(circulant(8, (1, 2)), 2),
+              duplicate(circulant(9, (1, 2)), 3),
+              duplicate(cyclically_6_connected_10_vertex(), 2)]
+    nonzero = 0
+    for g in graphs:
+        v0, vinf, orientation = _random_choices(g, rng)
+        rows = _stacked_matrix(g, v0, vinf, orientation)
+        value = graph_permanent(g, v0, vinf, orientation)
+        assert value == _ryser_permanent(rows), (g, v0, vinf, orientation)
+        if len(rows) <= 16:
+            assert value == ryser_permanent(rows), (g, v0, vinf, orientation)
+        nonzero += value != 0
+    assert nonzero >= 5
 
 
 # ------------------------------------------------------------------ point counts
