@@ -398,10 +398,13 @@ def main(argv=None):
     tasks = list(dict.fromkeys(t for t in args.tasks.split(",") if t))
     if not tasks:
         error("no task: --tasks names none")
-    # opening --out truncates the file the cache then appends its lines to
+    # opening --out truncates its file, and the cache load rewrites its own
     if (args.cache and args.out and
             os.path.realpath(args.cache) == os.path.realpath(args.out)):
         error("--out names the --cache file %s" % args.out)
+    for option, path in (("--cache", args.cache), ("--out", args.out)):
+        if path and os.path.realpath(path) == os.path.realpath(args.input):
+            error("%s names the --input file %s" % (option, path))
     try:
         records = parse_graph_file(args.input)
     except (OSError, ValueError) as exc:

@@ -199,27 +199,23 @@ def graph_permanent(g, v0, vinf, orientation=None):
     return sign * factorial(k) ** nrows * states.get((), 0)
 
 
-def permanent_square_residue(g, v0=None, vinf=None, orientation=None):
-    """Perm(g)^2 mod (k+1); the square kills the sign ambiguity, so the
-    residue is independent of all choices.  For composite k+1 the residue
-    is trivially zero and reported as such without computing."""
+def permanent_square_residue(g):
+    """Perm(g)^2 mod (k+1), at vinf the last loop-free vertex and v0 the
+    first other; the square kills the sign, so every choice graph_permanent
+    takes gives this residue.  It is zero, reported as trivial without
+    computing, for a composite k+1 or a loop at every vertex."""
     k = regular_half_degree(g)
     modulus = k + 1
     if not is_prime(modulus):
         return ResidueReport(modulus, 0,
                              {"method": "permanent", "trivial": "composite modulus"})
-    if vinf is None:
-        loopfree = [v for v in range(g.n)
-                    if not g.loops.get(v, 0) and v != v0]
-        if not loopfree:
-            # every vertex but v0 is looped: whatever finite part we pick has
-            # a zero column, so the permanent vanishes
-            return ResidueReport(modulus, 0,
-                                 {"method": "permanent", "trivial": "no loop-free vinf"})
-        vinf = loopfree[-1]
-    if v0 is None:
-        v0 = next(v for v in range(g.n) if v != vinf)
-    value = graph_permanent(g, v0, vinf, orientation)
+    loopfree = [v for v in range(g.n) if not g.loops.get(v, 0)]
+    if not loopfree:
+        return ResidueReport(modulus, 0,
+                             {"method": "permanent", "trivial": "no loop-free vinf"})
+    vinf = loopfree[-1]
+    v0 = 1 if vinf == 0 else 0
+    value = graph_permanent(g, v0, vinf)
     return ResidueReport(modulus, value * value % modulus,
                          {"method": "permanent", "v0": v0, "vinf": vinf})
 

@@ -15,6 +15,8 @@ from martinpoly.families import (circulant, complete_graph, cycle,
 from martinpoly.multigraph import Multigraph, duplicate, from_edges
 from martinpoly.structure import nontrivial_cuts
 
+from g10 import cyclically_6_connected_10_vertex  # noqa: F401 (re-exported)
+
 
 # -- named graphs used across several test modules ----------------------
 
@@ -59,15 +61,6 @@ def random_12_vertex():
         (0, 3), (0, 5), (0, 7), (0, 10), (1, 4), (1, 8), (1, 9), (1, 10),
         (2, 3), (2, 6), (2, 7), (2, 8), (3, 4), (3, 9), (4, 7), (4, 10),
         (5, 6), (5, 8), (5, 11), (6, 8), (6, 9), (7, 11), (9, 11), (10, 11)])
-
-
-def cyclically_6_connected_10_vertex():
-    """A cyclically 6-connected simple 4-regular graph on 10 vertices, g10
-    for short."""
-    return from_edges(10, [
-        (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 6), (1, 8),
-        (2, 4), (2, 5), (2, 9), (3, 4), (3, 9), (4, 8), (5, 6), (5, 7),
-        (6, 7), (7, 8), (7, 9), (8, 9)])
 
 
 def random_18_vertex():
@@ -165,6 +158,17 @@ def twist_pair_ten_vertex():
     side = {(0, 1): 1, (0, 4): 1, (1, 5): 1, (1, 6): 1, (1, 8): 1,
             (4, 5): 1, (4, 6): 1, (4, 7): 1, (6, 7): 1, (6, 8): 1}
     return g, (0, 5, 7, 8), side, (2, 3, 0, 1)
+
+
+def pairing_model(n, degree, rng):
+    """Random loop-free degree-regular multigraph: pair up the edge ends at
+    random, retrying until no pair is a loop."""
+    while True:
+        ends = [v for v in range(n) for _ in range(degree)]
+        rng.shuffle(ends)
+        pairs = list(zip(ends[0::2], ends[1::2]))
+        if all(a != b for a, b in pairs):
+            return from_edges(n, pairs)
 
 
 # -- seeded random cut orders --------------------------------------------

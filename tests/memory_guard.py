@@ -1,6 +1,5 @@
-"""Memory guards: one pinned value of g10 (conftest's
-cyclically_6_connected_10_vertex) per run, with the process's VmHWM held
-under a limit.
+"""Memory guards: one pinned value of g10 (tests/g10.py, which conftest.py
+re-exports) per run, with the process's VmHWM held under a limit.
 
     PYTHONPATH=src python tests/memory_guard.py CASE
 
@@ -9,26 +8,13 @@ whole process, so each case needs a fresh one.  The exit status is 0 when the
 value matches its pin and VmHWM is within the limit, else 1, and 2 for an
 unknown case."""
 
-import ast
-import os
 import sys
 
 from martinpoly.martin import martin_invariant
-from martinpoly.multigraph import duplicate, from_edges
+from martinpoly.multigraph import duplicate
 from martinpoly.residues import c2_from_martin, extended_permanent
 
-
-def g10():
-    """g10 from the edge list in conftest.py, read without importing it:
-    conftest loads pytest, which adds about 12 MB to VmHWM."""
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        "conftest.py")
-    with open(path) as fh:
-        tree = ast.parse(fh.read())
-    build = next(node for node in tree.body
-                 if isinstance(node, ast.FunctionDef)
-                 and node.name == "cyclically_6_connected_10_vertex")
-    return from_edges(*map(ast.literal_eval, build.body[-1].value.args))
+from g10 import cyclically_6_connected_10_vertex as g10
 
 
 def vm_hwm_mb():

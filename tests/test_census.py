@@ -366,15 +366,19 @@ def test_cli_compute_writes_tsv_and_reruns_identically(tmp_path):
     (["--out", "missing/out.tsv"], "--out: [Errno 2] No such file"),
     (["--cache", "same.tsv", "--out", "./same.tsv"],
      "--out names the --cache file"),
+    (["--cache", "./graphs.txt"], "--cache names the --input file"),
+    (["--out", "graphs.txt"], "--out names the --input file"),
     (["--tasks", ""], "no task: --tasks names none"),
     (["--rmax", "2"], "unrecognized arguments: --rmax 2"),
 ], ids=["input-missing", "input-malformed", "cache-directory",
         "cache-missing-directory", "out-missing-directory", "out-is-cache",
-        "tasks-empty", "unknown-argument"])
+        "cache-is-input", "out-is-input", "tasks-empty", "unknown-argument"])
 def test_cli_rejects_bad_arguments_with_one_line(tmp_path, monkeypatch,
                                                  capsys, args, message):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "graphs.txt").write_text(_graph_line("octa", octahedron()))
+    graphs = tmp_path / "graphs.txt"
+    graphs.write_text(_graph_line("octa", octahedron()))
+    before = graphs.read_bytes()
     (tmp_path / "bad.txt").write_text("a: 0 1 2\n")
     # every bad argument is rejected before any value is computed
     monkeypatch.setattr(census, "compute_batch",
@@ -388,6 +392,7 @@ def test_cli_rejects_bad_arguments_with_one_line(tmp_path, monkeypatch,
         last = err.strip().splitlines()[-1]
         assert last.startswith("martinpoly %s: error: " % verb), err
         assert message in last, err
+        assert graphs.read_bytes() == before
 
 
 def test_cli_closes_the_cache_when_the_batch_raises(tmp_path, monkeypatch):

@@ -38,7 +38,8 @@ from martinpoly.oracle import (
     spanning_two_forests,
 )
 
-from conftest import eight_regular_six_vertex, generated, k3_113
+from conftest import (eight_regular_six_vertex, generated, k3_113,
+                      pairing_model)
 
 
 # ------------------------------------------------------------- spanning trees
@@ -112,20 +113,10 @@ def test_tree_partitions_equal_martin_six_regular():
         assert count_tree_partitions(delete_vertex(g, 0), 3) == expect
 
 
-def _random_four_regular(n, rng):
-    """Pairing-model 4-regular multigraph without loops (rejection sampled)."""
-    while True:
-        halves = [v for v in range(n) for _ in range(4)]
-        rng.shuffle(halves)
-        edges = list(zip(halves[0::2], halves[1::2]))
-        if all(u != v for u, v in edges):
-            return from_edges(n, edges)
-
-
 def test_tree_partitions_equal_martin_sampled_eight_vertex():
     rng = random.Random(1803)
     for _ in range(8):
-        g = _random_four_regular(8, rng)
+        g = pairing_model(8, 4, rng)
         expect = 2 * martin_invariant(g)
         assert count_tree_partitions(delete_vertex(g, 0), 2) == expect
 

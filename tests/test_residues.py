@@ -92,7 +92,8 @@ def test_permanent_default_orientation_shape():
 def test_permanent_residue_independent_of_choices():
     rng = random.Random(77)
     for g in (octahedron(), duplicate(cycle(5), 2), k4_112()):
-        base = permanent_square_residue(g).residue
+        rep = permanent_square_residue(g)
+        assert rep.modulus == 3
         seen = set()
         for _ in range(10):
             vinf = rng.choice([v for v in range(g.n) if not g.loops.get(v)])
@@ -100,10 +101,9 @@ def test_permanent_residue_independent_of_choices():
             n_cols = sum(m for (u, v), m in g.mult.items()
                          if vinf not in (u, v))
             orientation = [rng.randrange(2) for _ in range(n_cols)]
-            rep = permanent_square_residue(g, v0, vinf, orientation)
-            assert rep.modulus == 3
-            assert rep.residue == base
-            seen.add(graph_permanent(g, v0, vinf, orientation))
+            value = graph_permanent(g, v0, vinf, orientation)
+            assert value ** 2 % 3 == rep.residue
+            seen.add(value)
         assert len(seen) > 1  # the raw integer does vary with the choices
 
 
@@ -129,19 +129,6 @@ def test_permanent_zero_cases():
     rep = permanent_square_residue(complete_graph(7))
     assert rep.modulus == 4 and rep.residue == 0
     assert "trivial" in rep.provenance
-
-
-def test_permanent_default_vinf_avoids_v0():
-    octa = octahedron()
-    base = permanent_square_residue(octa).residue
-    for v0 in range(octa.n):
-        rep = permanent_square_residue(octa, v0=v0)
-        assert rep.provenance["v0"] == v0 != rep.provenance["vinf"]
-        assert rep.residue == base
-    # v0 is the one loop-free vertex: every finite part keeps a loop
-    g = from_edges(3, [(0, 1), (0, 1), (1, 1), (2, 2), (0, 2), (0, 2)])
-    rep = permanent_square_residue(g, v0=0)
-    assert rep.residue == 0 and "trivial" in rep.provenance
 
 
 def test_permanent_validation():

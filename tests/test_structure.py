@@ -35,6 +35,7 @@ from conftest import (
     generated,
     glued_k5_octahedron,
     k3_113,
+    pairing_model,
     random_18_vertex,
     shuffled_cuts,
     twist_pair_ten_vertex,
@@ -78,20 +79,9 @@ def test_cyclic_connectivity_witness():
         is_cyclically_connected(from_edges(3, [(0, 1), (1, 2)]), 2)
 
 
-def _pairing_model(n, degree, rng):
-    """Random loop-free degree-regular multigraph: pair up the edge ends at
-    random, retrying until no pair is a loop."""
-    while True:
-        ends = [v for v in range(n) for _ in range(degree)]
-        rng.shuffle(ends)
-        pairs = list(zip(ends[0::2], ends[1::2]))
-        if all(a != b for a, b in pairs):
-            return from_edges(n, pairs)
-
-
 def _random_regular_graphs():
     rng = random.Random(2304)
-    return [_pairing_model(n, degree, rng)
+    return [pairing_model(n, degree, rng)
             for degree in (4, 8) for n in range(9, 15) for _ in range(2)]
 
 
